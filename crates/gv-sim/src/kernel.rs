@@ -1,17 +1,22 @@
 //! The discrete-event engine.
 //!
 //! A [`Simulation`] owns a set of coroutine-style *processes*, each backed by
-//! an OS thread. Exactly one thread is ever runnable at a time: the engine
-//! resumes a process, the process runs until it performs a *yielding*
-//! operation (`hold`, `park`, `park_timeout`, or returning), and control
-//! passes back to the engine. Because scheduling decisions are made from a
-//! FIFO run queue and a `(time, sequence)`-ordered timer heap, runs are fully
+//! an OS thread. Exactly one thread is ever runnable at a time, and control
+//! moves between them by *baton passing*: a process runs until it performs a
+//! *yielding* operation (`hold`, `park`, `park_timeout`, or returning), then
+//! takes the next scheduling step itself, under the state lock. If the step
+//! picks another process, the yielder hands it the baton (its wake reason)
+//! directly and blocks; if it picks the yielder again, the yielder simply
+//! carries on, with no thread switch at all. [`Simulation::run_until`] only
+//! hands out the first baton and then sleeps until some thread posts the
+//! run's outcome. Because scheduling decisions are made from a FIFO run
+//! queue and a `(time, sequence)`-ordered timer heap, runs are fully
 //! deterministic for a fixed program.
 //!
 //! Non-yielding operations (`unpark`, `spawn`, channel pushes, …) mutate the
 //! shared kernel state directly under a mutex; this is race-free because only
-//! the single running process (or the engine, while no process runs) ever
-//! touches it.
+//! the single running process (or the engine, before the first hand-off and
+//! after the outcome) ever touches it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -219,7 +224,8 @@ pub struct Summary {
     pub end_time: SimTime,
     /// Total processes spawned over the run.
     pub processes_spawned: usize,
-    /// Number of engine scheduling steps (resume/yield round trips).
+    /// Number of scheduling steps: process resumes, counting a process that
+    /// keeps running after its own yield as one.
     pub events_processed: u64,
     /// True when the run ended because every process finished (as opposed
     /// to hitting a `run_until` horizon).
@@ -247,7 +253,7 @@ pub(crate) struct Slot {
     pub(crate) token: bool,
     /// Wake generation; bumped on every wake so stale timers are discarded.
     pub(crate) gen: u64,
-    pub(crate) resume_tx: Option<Sender<WakeReason>>,
+    pub(crate) resume_tx: Option<Sender<Baton>>,
     pub(crate) join: Option<JoinHandle<()>>,
     /// Vector clock for happens-before analysis (maintained only while the
     /// tracer's analysis flag is on; empty otherwise).
@@ -283,7 +289,21 @@ pub(crate) struct State {
     runnable: VecDeque<(Pid, WakeReason)>,
     pub(crate) slots: Vec<Slot>,
     live: usize,
-    terminating: bool,
+    /// Scheduling steps taken (`Summary::events_processed`).
+    events: u64,
+    oracle: Option<OracleHandle>,
+    /// The `run_until` horizon.
+    limit: SimTime,
+    /// How the run ended, posted by whichever thread took the final step.
+    outcome: Option<Result<bool, SimError>>,
+}
+
+/// What one scheduling step decided.
+enum Step {
+    /// Resume this process.
+    Resume(Pid, WakeReason),
+    /// The run is over: `Ok(completed)` or the error that ended it.
+    Done(Result<bool, SimError>),
 }
 
 impl State {
@@ -341,6 +361,14 @@ impl State {
     }
 }
 
+/// What a process's resume channel carries: the right to run.
+pub(crate) struct Baton {
+    pub(crate) reason: WakeReason,
+    /// Thread of the process that exited while handing this baton over.
+    /// The receiver joins it before running, as the exit's last step.
+    pub(crate) reap: Option<JoinHandle<()>>,
+}
+
 pub(crate) enum YieldOp {
     Hold(SimDuration),
     Park,
@@ -348,22 +376,86 @@ pub(crate) enum YieldOp {
     Exit { panic_message: Option<String> },
 }
 
-pub(crate) struct YieldMsg {
-    pub(crate) pid: Pid,
-    pub(crate) op: YieldOp,
-}
-
 /// Shared between the engine, every process `Ctx`, and all sync primitives.
 pub struct KernelShared {
     pub(crate) state: Mutex<State>,
-    pub(crate) yield_tx: Sender<YieldMsg>,
+    /// Wakes the engine thread once `State::outcome` is posted.
+    done_tx: Sender<()>,
     pub(crate) tracer: Tracer,
+}
+
+/// Posts a panic outcome if none is posted yet, then wakes the engine
+/// thread, when dropped. Every scheduling step taken on a process thread
+/// holds one and forgets it only when handing the baton on, so both a
+/// terminal step and a panic inside the step (say, in an oracle) end
+/// `run_until`'s wait.
+struct EngineWaker<'a> {
+    shared: &'a KernelShared,
+    /// The yielding process, blamed when the step itself unwinds.
+    pid: Pid,
+}
+
+impl Drop for EngineWaker<'_> {
+    fn drop(&mut self) {
+        let mut st = self.shared.state.lock();
+        if st.outcome.is_none() {
+            let name = st.slots[self.pid.index()].name.clone();
+            st.outcome = Some(Err(SimError::ProcessPanicked {
+                name,
+                message: "panicked in the scheduling step".to_string(),
+            }));
+        }
+        drop(st);
+        let _ = self.shared.done_tx.send(());
+    }
 }
 
 impl KernelShared {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.state.lock().now
+    }
+
+    /// Apply `pid`'s yield, then take the next scheduling step on this
+    /// thread. Returns the wake reason when the step resumes `pid` itself;
+    /// otherwise hands the baton to the chosen process, or posts the run's
+    /// outcome, and returns `None` (the caller then blocks or exits).
+    pub(crate) fn switch(&self, pid: Pid, op: YieldOp) -> Option<WakeReason> {
+        // Declared before the lock guard, so it drops (and relocks) after it.
+        let waker = EngineWaker { shared: self, pid };
+        let mut st = self.state.lock();
+        if st.outcome.is_some() {
+            // The run already ended (a failed step unwound through this
+            // process and it caught the unwind): schedule nothing more.
+            return None;
+        }
+        let exiting = matches!(op, YieldOp::Exit { .. });
+        let step = match st.handle_yield(pid, op) {
+            Some(err) => Step::Done(Err(err)),
+            None => st.step(&self.tracer),
+        };
+        match step {
+            Step::Resume(next, reason) => {
+                std::mem::forget(waker);
+                if next == pid {
+                    return Some(reason);
+                }
+                let tx = st.resume_tx(next);
+                let reap = if exiting {
+                    st.slots[pid.index()].join.take()
+                } else {
+                    None
+                };
+                drop(st);
+                tx.send(Baton { reason, reap })
+                    .expect("process thread hung up");
+                None
+            }
+            Step::Done(outcome) => {
+                st.outcome = Some(outcome);
+                None
+            }
+        }
     }
 
     pub(crate) fn spawn_process<F>(
@@ -376,7 +468,7 @@ impl KernelShared {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let (resume_tx, resume_rx) = channel::bounded::<WakeReason>(1);
+        let (resume_tx, resume_rx) = channel::bounded::<Baton>(1);
         let analysis = self.tracer.analysis_enabled();
         let mut state = self.state.lock();
         let pid = Pid(state.slots.len() as u32);
@@ -436,10 +528,7 @@ impl KernelShared {
                         Some(panic_message(&*payload))
                     }
                 };
-                let _ = ctx.shared().yield_tx.send(YieldMsg {
-                    pid,
-                    op: YieldOp::Exit { panic_message },
-                });
+                ctx.shared().switch(pid, YieldOp::Exit { panic_message });
             })
             .expect("failed to spawn simulation process thread");
 
@@ -480,10 +569,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A discrete-event simulation: spawn processes, then [`run`](Self::run).
 pub struct Simulation {
     shared: Arc<KernelShared>,
-    yield_rx: Receiver<YieldMsg>,
-    events: u64,
-    ran: bool,
-    oracle: Option<OracleHandle>,
+    done_rx: Receiver<()>,
 }
 
 impl Default for Simulation {
@@ -495,7 +581,7 @@ impl Default for Simulation {
 impl Simulation {
     /// Create an empty simulation at `t = 0`.
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = channel::unbounded();
+        let (done_tx, done_rx) = channel::unbounded();
         let shared = Arc::new(KernelShared {
             state: Mutex::new(State {
                 now: SimTime::ZERO,
@@ -504,18 +590,15 @@ impl Simulation {
                 runnable: VecDeque::new(),
                 slots: Vec::new(),
                 live: 0,
-                terminating: false,
+                events: 0,
+                oracle: None,
+                limit: SimTime::MAX,
+                outcome: None,
             }),
-            yield_tx,
+            done_tx,
             tracer: Tracer::new(),
         });
-        Simulation {
-            shared,
-            yield_rx,
-            events: 0,
-            ran: false,
-            oracle: None,
-        }
+        Simulation { shared, done_rx }
     }
 
     /// Install a scheduling oracle. The oracle is consulted whenever the
@@ -524,7 +607,7 @@ impl Simulation {
     /// With no oracle installed the engine always takes the FIFO/arm-order
     /// default (index 0), preserving the historical behavior.
     pub fn set_oracle(&mut self, oracle: OracleHandle) {
-        self.oracle = Some(oracle);
+        self.shared.state.lock().oracle = Some(oracle);
     }
 
     /// Handle to the shared kernel (used by sync primitives constructed
@@ -562,77 +645,46 @@ impl Simulation {
     }
 
     /// Run until all processes finish or simulated time would pass `limit`.
+    ///
+    /// The engine thread takes the first scheduling step and hands the
+    /// baton to the chosen process; from then on the processes schedule
+    /// each other, and the engine sleeps until one of them posts the
+    /// outcome (completion, horizon, deadlock or panic).
     pub fn run_until(mut self, limit: SimTime) -> Result<Summary, SimError> {
-        self.ran = true;
-        let result: Result<bool, SimError> = 'engine: loop {
-            // Phase 1: drain the run queue.
-            loop {
-                let next = {
-                    let mut st = self.shared.state.lock();
-                    if st.runnable.is_empty() {
-                        None
-                    } else {
-                        // The FIFO front is the default; an installed oracle
-                        // may pick any ready process instead. Consulting it
-                        // under the state lock is fine: no process is
-                        // running, and oracles never call back into the
-                        // kernel.
-                        let idx = match (&self.oracle, st.runnable.len()) {
-                            (Some(oracle), n) if n > 1 => {
-                                let candidates = candidates_of(&st, st.runnable.iter().copied());
-                                let now = st.now;
-                                oracle
-                                    .lock()
-                                    .choose(DecisionKind::Run, now, &candidates)
-                                    .min(n - 1)
-                            }
-                            _ => 0,
-                        };
-                        let (pid, reason) = st.runnable.remove(idx).expect("oracle index in range");
-                        st.slots[pid.index()].state = ProcState::Running;
-                        Some((pid, reason))
-                    }
-                };
-                let Some((pid, reason)) = next else { break };
-                self.events += 1;
-
-                // Resume the process and wait for it to yield.
-                let tx = {
-                    let st = self.shared.state.lock();
-                    st.slots[pid.index()]
-                        .resume_tx
-                        .clone()
-                        .expect("resuming a terminated process")
-                };
-                tx.send(reason).expect("process thread hung up");
-                let msg = self
-                    .yield_rx
+        let first = {
+            let mut st = self.shared.state.lock();
+            st.limit = limit;
+            st.step(&self.shared.tracer)
+        };
+        let result = match first {
+            Step::Done(outcome) => outcome,
+            Step::Resume(pid, reason) => {
+                let tx = self.shared.state.lock().resume_tx(pid);
+                tx.send(Baton { reason, reap: None })
+                    .expect("process thread hung up");
+                self.done_rx
                     .recv()
-                    .expect("all process threads disappeared");
-                if let Some(err) = self.handle_yield(msg) {
-                    break 'engine Err(err);
-                }
-            }
-            // Phase 2: no runnable process — advance the clock.
-            let more_runnable = !self.shared.state.lock().runnable.is_empty();
-            if !more_runnable {
-                if let Some(outcome) = self.advance_time(limit) {
-                    break 'engine outcome;
-                }
+                    .expect("kernel dropped its done channel");
+                // Leave the outcome posted: it keeps a process that is
+                // still unwinding from a failed step from scheduling.
+                self.shared
+                    .state
+                    .lock()
+                    .outcome
+                    .clone()
+                    .expect("engine woken without an outcome")
             }
         };
 
         if self.shared.tracer.analysis_enabled() {
             // Terminal record: tells whole-trace checkers (liveness) the
             // run actually ended here rather than being dumped mid-flight.
-            let (time, completed, deadlocked) = {
-                let st = self.shared.state.lock();
-                match &result {
-                    Ok(c) => (st.now, *c, false),
-                    Err(SimError::Deadlock { .. }) => (st.now, false, true),
-                    Err(_) => (st.now, false, false),
-                }
+            let (completed, deadlocked) = match &result {
+                Ok(c) => (*c, false),
+                Err(SimError::Deadlock { .. }) => (false, true),
+                Err(_) => (false, false),
             };
+            let time = self.shared.state.lock().now;
             self.shared.tracer.record_analysis(AnalysisRecord::RunEnd {
                 time,
                 completed,
@@ -645,53 +697,116 @@ impl Simulation {
             Summary {
                 end_time: st.now,
                 processes_spawned: st.slots.len(),
-                events_processed: self.events,
+                events_processed: st.events,
                 completed,
             }
         })
     }
 
-    /// Process one yield message; returns an error to abort the run.
-    fn handle_yield(&mut self, msg: YieldMsg) -> Option<SimError> {
-        let mut st = self.shared.state.lock();
-        let pid = msg.pid;
-        match msg.op {
+    /// Tear down any processes still alive (horizon stops, deadlocks,
+    /// panics, unrun simulations): dropping their resume senders makes
+    /// their next blocking receive unwind with the [`Terminated`] sentinel.
+    /// Also joins the thread of a process whose exit ended the run, which
+    /// had no one to hand its baton (and its thread) to.
+    fn terminate_all(&mut self) {
+        let handles: Vec<JoinHandle<()>> = {
+            let mut st = self.shared.state.lock();
+            st.slots
+                .iter_mut()
+                .filter_map(|s| {
+                    s.resume_tx = None;
+                    s.state = ProcState::Finished;
+                    s.join.take()
+                })
+                .collect()
+        };
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // A no-op after `run_until`; reaps the threads of a simulation that
+        // never ran or whose first step panicked.
+        self.terminate_all();
+    }
+}
+
+impl State {
+    fn resume_tx(&self, pid: Pid) -> Sender<Baton> {
+        self.slots[pid.index()]
+            .resume_tx
+            .clone()
+            .expect("resuming a terminated process")
+    }
+
+    /// One scheduling step: pop the next process to resume from the run
+    /// queue, advancing the clock to the next timer whenever it is empty.
+    fn step(&mut self, tracer: &Tracer) -> Step {
+        loop {
+            let n = self.runnable.len();
+            if n > 0 {
+                // The FIFO front is the default; an installed oracle may
+                // pick any ready process instead. Oracles never call back
+                // into the kernel, so consulting one under the state lock
+                // is fine.
+                let idx = match &self.oracle {
+                    Some(oracle) if n > 1 => {
+                        let candidates = candidates_of(self, self.runnable.iter().copied());
+                        oracle
+                            .lock()
+                            .choose(DecisionKind::Run, self.now, &candidates)
+                            .min(n - 1)
+                    }
+                    _ => 0,
+                };
+                let (pid, reason) = self.runnable.remove(idx).expect("oracle index in range");
+                self.slots[pid.index()].state = ProcState::Running;
+                self.events += 1;
+                return Step::Resume(pid, reason);
+            }
+            if let Some(outcome) = self.advance_time(tracer) {
+                return Step::Done(outcome);
+            }
+        }
+    }
+
+    /// Apply one yield; returns an error to abort the run.
+    fn handle_yield(&mut self, pid: Pid, op: YieldOp) -> Option<SimError> {
+        match op {
             YieldOp::Hold(d) => {
-                let at = st.now + d;
-                st.slots[pid.index()].state = ProcState::Holding;
-                st.arm_timer(pid, at);
+                let at = self.now + d;
+                self.slots[pid.index()].state = ProcState::Holding;
+                self.arm_timer(pid, at);
             }
             YieldOp::Park => {
-                let slot = &mut st.slots[pid.index()];
+                let slot = &mut self.slots[pid.index()];
                 if slot.token {
                     slot.token = false;
-                    st.make_ready(pid, WakeReason::Unpark);
+                    self.make_ready(pid, WakeReason::Unpark);
                 } else {
                     slot.state = ProcState::Parked;
                 }
             }
             YieldOp::ParkTimeout(d) => {
-                let slot = &mut st.slots[pid.index()];
+                let slot = &mut self.slots[pid.index()];
                 if slot.token {
                     slot.token = false;
-                    st.make_ready(pid, WakeReason::Unpark);
+                    self.make_ready(pid, WakeReason::Unpark);
                 } else {
                     slot.state = ProcState::Parked;
-                    let at = st.now + d;
-                    st.arm_timer(pid, at);
+                    let at = self.now + d;
+                    self.arm_timer(pid, at);
                 }
             }
             YieldOp::Exit { panic_message } => {
-                let slot = &mut st.slots[pid.index()];
+                let slot = &mut self.slots[pid.index()];
                 slot.state = ProcState::Finished;
                 slot.resume_tx = None;
-                let join = slot.join.take();
                 let name = slot.name.clone();
-                st.live -= 1;
-                drop(st);
-                if let Some(h) = join {
-                    let _ = h.join();
-                }
+                self.live -= 1;
                 if let Some(message) = panic_message {
                     return Some(SimError::ProcessPanicked { name, message });
                 }
@@ -708,51 +823,50 @@ impl Simulation {
     /// consulted to tie-break instead, making same-time wake order an
     /// explorable scheduling decision rather than an accident of heap
     /// layout.
-    fn advance_time(&mut self, limit: SimTime) -> Option<Result<bool, SimError>> {
-        let mut st = self.shared.state.lock();
+    fn advance_time(&mut self, tracer: &Tracer) -> Option<Result<bool, SimError>> {
         // Find the earliest valid timer, discarding stale entries.
         let front = loop {
-            match st.heap.peek() {
+            match self.heap.peek() {
                 None => {
-                    return if st.live == 0 {
+                    return if self.live == 0 {
                         Some(Ok(true))
                     } else {
-                        Some(Err(self.deadlock_error(&mut st)))
+                        Some(Err(self.deadlock_error(tracer)))
                     };
                 }
                 Some(Reverse(entry)) => {
                     let entry = *entry;
                     let valid = {
-                        let slot = &st.slots[entry.pid.index()];
+                        let slot = &self.slots[entry.pid.index()];
                         slot.gen == entry.gen
                             && matches!(slot.state, ProcState::Parked | ProcState::Holding)
                     };
                     if !valid {
-                        st.heap.pop();
+                        self.heap.pop();
                         continue;
                     }
-                    if entry.time > limit {
+                    if entry.time > self.limit {
                         // Horizon reached with pending work.
-                        st.now = limit;
+                        self.now = self.limit;
                         return Some(Ok(false));
                     }
                     break entry;
                 }
             }
         };
-        st.heap.pop();
+        self.heap.pop();
         let chosen = if let Some(oracle) = &self.oracle {
             // Collect every other valid timer due at the same instant so
             // the oracle can reorder the tie. Heap pops arrive in (time,
             // seq) order, so `ties` is sorted by arm order.
             let mut ties = vec![front];
-            while let Some(Reverse(peek)) = st.heap.peek() {
+            while let Some(Reverse(peek)) = self.heap.peek() {
                 if peek.time != front.time {
                     break;
                 }
                 let entry = *peek;
-                st.heap.pop();
-                let slot = &st.slots[entry.pid.index()];
+                self.heap.pop();
+                let slot = &self.slots[entry.pid.index()];
                 if slot.gen == entry.gen
                     && matches!(slot.state, ProcState::Parked | ProcState::Holding)
                 {
@@ -761,7 +875,7 @@ impl Simulation {
             }
             let idx = if ties.len() > 1 {
                 let candidates =
-                    candidates_of(&st, ties.iter().map(|e| (e.pid, WakeReason::Timer)));
+                    candidates_of(self, ties.iter().map(|e| (e.pid, WakeReason::Timer)));
                 oracle
                     .lock()
                     .choose(DecisionKind::Timer, front.time, &candidates)
@@ -771,23 +885,23 @@ impl Simulation {
             };
             let chosen = ties.swap_remove(idx);
             for entry in ties {
-                st.heap.push(Reverse(entry));
+                self.heap.push(Reverse(entry));
             }
             chosen
         } else {
             front
         };
-        st.now = chosen.time;
-        self.shared.tracer.set_now_hint(chosen.time);
-        st.make_ready(chosen.pid, WakeReason::Timer);
+        self.now = chosen.time;
+        tracer.set_now_hint(chosen.time);
+        self.make_ready(chosen.pid, WakeReason::Timer);
         None
     }
 
     /// Build the enriched deadlock report: per-process wait causes with
     /// holder states, a wait-for cycle if one exists, and (while analysis
     /// recording is on) matching trace records for the deadlock checker.
-    fn deadlock_error(&self, st: &mut State) -> SimError {
-        let blocked: Vec<BlockedProcess> = st
+    fn deadlock_error(&self, tracer: &Tracer) -> SimError {
+        let blocked: Vec<BlockedProcess> = self
             .slots
             .iter()
             .enumerate()
@@ -800,7 +914,7 @@ impl Simulation {
                         c.holders
                             .iter()
                             .map(|h| {
-                                let hs = &st.slots[h.index()];
+                                let hs = &self.slots[h.index()];
                                 let state = match hs.state {
                                     ProcState::Finished => "finished",
                                     ProcState::Parked => "parked",
@@ -821,64 +935,28 @@ impl Simulation {
             })
             .collect();
         let cycle = wait_cycle(&blocked);
-        if self.shared.tracer.analysis_enabled() {
-            let time = st.now;
+        if tracer.analysis_enabled() {
+            let time = self.now;
             for b in &blocked {
                 let (kind, resource, holders) = match &b.cause {
                     Some(c) => (c.kind, c.resource.clone(), c.holders.clone()),
                     None => (WaitKind::Park, String::new(), Vec::new()),
                 };
-                self.shared
-                    .tracer
-                    .record_analysis(AnalysisRecord::DeadlockWaiter {
-                        time,
-                        pid: b.pid,
-                        process: b.name.clone(),
-                        kind,
-                        resource,
-                        holders,
-                    });
-            }
-            self.shared
-                .tracer
-                .record_analysis(AnalysisRecord::Deadlock {
+                tracer.record_analysis(AnalysisRecord::DeadlockWaiter {
                     time,
-                    cycle: cycle.clone(),
+                    pid: b.pid,
+                    process: b.name.clone(),
+                    kind,
+                    resource,
+                    holders,
                 });
+            }
+            tracer.record_analysis(AnalysisRecord::Deadlock {
+                time,
+                cycle: cycle.clone(),
+            });
         }
         SimError::Deadlock { blocked, cycle }
-    }
-
-    /// Tear down any processes still alive (horizon stops, deadlocks,
-    /// panics): dropping their resume senders makes their next blocking
-    /// receive unwind with the [`Terminated`] sentinel.
-    fn terminate_all(&mut self) {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
-            st.terminating = true;
-            st.slots
-                .iter_mut()
-                .filter(|s| s.state != ProcState::Finished)
-                .filter_map(|s| {
-                    s.resume_tx = None;
-                    s.state = ProcState::Finished;
-                    s.join.take()
-                })
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-        // Drain any Exit messages raced in during teardown.
-        while self.yield_rx.try_recv().is_ok() {}
-    }
-}
-
-impl Drop for Simulation {
-    fn drop(&mut self) {
-        if !self.ran {
-            self.terminate_all();
-        }
     }
 }
 
@@ -1215,5 +1293,260 @@ mod tests {
             ctx.park();
         });
         drop(sim); // must not hang
+    }
+
+    #[test]
+    fn lone_process_holds_resume_itself() {
+        // Every hold is followed by the same process's own timer: each
+        // step resumes the yielder, and each still counts as one step.
+        let mut sim = Simulation::new();
+        sim.spawn("solo", |ctx| {
+            for _ in 0..1000 {
+                ctx.hold(SimDuration::from_nanos(3));
+            }
+            ctx.yield_now();
+        });
+        let s = sim.run().unwrap();
+        assert!(s.completed);
+        assert_eq!(s.end_time.as_nanos(), 3_000);
+        assert_eq!(s.events_processed, 1002);
+    }
+
+    #[test]
+    fn exiting_process_hands_off_to_its_child() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let child_ran = Arc::new(AtomicBool::new(false));
+        let flag = child_ran.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("parent", move |ctx| {
+            // The child is ready but runs only once the parent returns.
+            ctx.spawn("child", move |c| {
+                c.hold(SimDuration::from_millis(3));
+                flag.store(true, Ordering::SeqCst);
+            });
+        });
+        let s = sim.run().unwrap();
+        assert!(child_ran.load(Ordering::SeqCst));
+        assert!(s.completed);
+        assert_eq!(s.processes_spawned, 2);
+        assert_eq!(s.end_time.as_millis_f64(), 3.0);
+        assert_eq!(s.events_processed, 3);
+    }
+
+    #[test]
+    fn deadlock_cycle_found_after_processes_ran() {
+        // The deadlock surfaces when the second process parks, not at the
+        // start of the run: both hold first, then wait on each other.
+        let mut sim = Simulation::new();
+        let a = Pid(0);
+        let b = Pid(1);
+        sim.spawn("a", move |ctx| {
+            ctx.hold(SimDuration::from_millis(1));
+            ctx.set_wait_cause(WaitKind::Recv, "from-b", vec![b]);
+            ctx.park();
+        });
+        sim.spawn("b", move |ctx| {
+            ctx.hold(SimDuration::from_millis(2));
+            ctx.set_wait_cause(WaitKind::Recv, "from-a", vec![a]);
+            ctx.park();
+        });
+        match sim.run() {
+            Err(err @ SimError::Deadlock { .. }) => {
+                assert_eq!(err.blocked_names(), vec!["a", "b"]);
+                let SimError::Deadlock { cycle, .. } = &err else {
+                    unreachable!()
+                };
+                assert_eq!(cycle, &vec![a, b, a]);
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn horizon_reached_mid_run_reaps_every_thread() {
+        let token = Arc::new(());
+        let mut sim = Simulation::new();
+        for name in ["x", "y"] {
+            let token = token.clone();
+            sim.spawn(name, move |ctx| {
+                let _token = token;
+                loop {
+                    ctx.hold(SimDuration::from_micros(1));
+                }
+            });
+        }
+        let s = sim.run_until(SimTime::from_nanos(5_500)).unwrap();
+        assert!(!s.completed);
+        assert_eq!(s.end_time.as_nanos(), 5_500);
+        // Two spawn resumes plus two timer wakes per elapsed microsecond.
+        assert_eq!(s.events_processed, 12);
+        // Every process thread unwound and dropped its captures.
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn panic_after_a_hand_off_is_reported() {
+        let token = Arc::new(());
+        let mut sim = Simulation::new();
+        let t = token.clone();
+        sim.spawn("waiter", move |ctx| {
+            let _token = t;
+            ctx.spawn("bomb", |c| {
+                c.hold(SimDuration::from_millis(1));
+                panic!("boom after hand-off");
+            });
+            ctx.park();
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanicked { name, message }) => {
+                assert_eq!(name, "bomb");
+                assert!(message.contains("boom after hand-off"));
+            }
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    /// Three processes with run-queue picks and same-instant timer ties.
+    fn three_process_program(sim: &mut Simulation) {
+        let c = sim.spawn("c", |ctx| {
+            ctx.park();
+            ctx.hold(SimDuration::from_millis(1));
+        });
+        sim.spawn("a", move |ctx| {
+            ctx.hold(SimDuration::from_millis(1));
+            ctx.unpark(c);
+            ctx.hold(SimDuration::from_millis(1));
+        });
+        sim.spawn("b", |ctx| {
+            ctx.hold(SimDuration::from_millis(1));
+            ctx.yield_now();
+            ctx.hold(SimDuration::from_millis(1));
+        });
+    }
+
+    #[test]
+    fn recording_oracle_log_is_pinned() {
+        use crate::oracle::{SchedOracle, ScriptOracle};
+        let oracle = ScriptOracle::recording();
+        let log = oracle.log();
+        let mut sim = Simulation::new();
+        sim.set_oracle(oracle.into_handle());
+        three_process_program(&mut sim);
+        let s = sim.run().unwrap();
+        let rendered: Vec<String> = log
+            .snapshot()
+            .iter()
+            .map(|d| {
+                let names: Vec<&str> = d.candidates.iter().map(|c| c.name.as_str()).collect();
+                format!(
+                    "{}@{}:{}->{}",
+                    d.kind.label(),
+                    d.time.as_nanos(),
+                    names.join(","),
+                    d.chosen
+                )
+            })
+            .collect();
+        assert_eq!(
+            rendered,
+            vec![
+                "run@0:c,a,b->0",
+                "run@0:a,b->0",
+                "timer@1000000:a,b->0",
+                "timer@2000000:a,c,b->0",
+                "timer@2000000:c,b->0",
+            ]
+        );
+        assert_eq!(s.events_processed, 10);
+    }
+
+    /// Panics on its `at`-th consultation; takes the FIFO default before.
+    struct PanickingOracle {
+        at: usize,
+        seen: usize,
+    }
+
+    impl crate::oracle::SchedOracle for PanickingOracle {
+        fn choose(&mut self, _: DecisionKind, _: SimTime, _: &[Candidate]) -> usize {
+            assert_ne!(self.seen, self.at, "oracle gave up");
+            self.seen += 1;
+            0
+        }
+    }
+
+    /// Run `sim` on a helper thread, failing the test if it hangs.
+    fn run_with_watchdog(sim: Simulation) -> std::thread::Result<Result<Summary, SimError>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| sim.run())));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_until never returned after a panic in the scheduling step")
+    }
+
+    #[test]
+    fn panicking_oracle_at_an_exit_is_reported() {
+        use crate::oracle::SchedOracle;
+        // The only choice comes when the parent returns with both children
+        // ready, so the step runs on the exiting thread, outside the
+        // process's own panic catch.
+        let mut sim = Simulation::new();
+        sim.set_oracle(PanickingOracle { at: 0, seen: 0 }.into_handle());
+        sim.spawn("parent", |ctx| {
+            for name in ["k1", "k2"] {
+                ctx.spawn(name, |c| c.hold(SimDuration::from_millis(1)));
+            }
+        });
+        match run_with_watchdog(sim) {
+            Ok(Err(SimError::ProcessPanicked { name, message })) => {
+                assert_eq!(name, "parent");
+                assert!(message.contains("scheduling step"), "{message}");
+            }
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panicking_oracle_never_hangs_the_run() {
+        use crate::oracle::SchedOracle;
+        // Five decisions (see `recording_oracle_log_is_pinned`): the first
+        // is taken on the engine thread, the rest on process threads.
+        for at in 0..5 {
+            let mut sim = Simulation::new();
+            sim.set_oracle(PanickingOracle { at, seen: 0 }.into_handle());
+            three_process_program(&mut sim);
+            match run_with_watchdog(sim) {
+                Err(_) => assert_eq!(at, 0, "only the engine thread's step panics out"),
+                Ok(Err(SimError::ProcessPanicked { .. })) => assert_ne!(at, 0),
+                Ok(other) => panic!("decision {at}: expected a panic, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn events_processed_is_pinned() {
+        // One channel ping-pong plus holds: a self-resume, a hand-off and
+        // a timer wake each count as exactly one step.
+        let mut sim = Simulation::new();
+        let ch: crate::SimChannel<u32> = crate::SimChannel::unbounded();
+        let ch2 = ch.clone();
+        sim.spawn("producer", move |ctx| {
+            for i in 0..50u32 {
+                ch2.send(ctx, i).unwrap();
+                ctx.hold(SimDuration::from_nanos(10));
+            }
+        });
+        sim.spawn("consumer", move |ctx| {
+            for _ in 0..50 {
+                ch.recv(ctx).unwrap();
+                ctx.hold(SimDuration::from_nanos(3));
+            }
+        });
+        three_process_program(&mut sim);
+        let s = sim.run().unwrap();
+        assert_eq!(s.processes_spawned, 5);
+        assert_eq!(s.end_time.as_nanos(), 2_000_000);
+        assert_eq!(s.events_processed, 161);
     }
 }

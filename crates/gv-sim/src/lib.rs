@@ -3,8 +3,9 @@
 //! The execution substrate for the GPU-virtualization reproduction: a
 //! SimPy-style process-oriented discrete-event simulator. Simulation
 //! *processes* are ordinary Rust closures running on dedicated threads, but
-//! the engine resumes exactly one at a time, so execution is deterministic
-//! and all shared state is effectively single-threaded.
+//! exactly one runs at a time, passing control directly to the next, so
+//! execution is deterministic and all shared state is effectively
+//! single-threaded.
 //!
 //! ```
 //! use gv_sim::{Simulation, SimDuration};

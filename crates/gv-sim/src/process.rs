@@ -1,10 +1,11 @@
 //! The process-side handle, [`Ctx`].
 //!
 //! A `Ctx` is handed to every process closure. All blocking operations
-//! (`hold`, `park`, `park_timeout`) yield control back to the engine; all
-//! other operations mutate shared kernel state directly and return without
-//! yielding, so a process observes no interleaving between two consecutive
-//! non-yielding calls.
+//! (`hold`, `park`, `park_timeout`) yield: the process takes the next
+//! scheduling step itself and passes the baton to whichever process runs
+//! next, or keeps it when that is itself. All other operations mutate shared
+//! kernel state directly and return without yielding, so a process observes
+//! no interleaving between two consecutive non-yielding calls.
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use crossbeam::channel::Receiver;
 
 use crate::clock::VClock;
 use crate::kernel::{
-    KernelShared, Pid, Terminated, WaitCause, WaitKind, WakeReason, YieldMsg, YieldOp,
+    Baton, KernelShared, Pid, Terminated, WaitCause, WaitKind, WakeReason, YieldOp,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
@@ -22,15 +23,11 @@ use crate::trace::Tracer;
 pub struct Ctx {
     shared: Arc<KernelShared>,
     pid: Pid,
-    resume_rx: Receiver<WakeReason>,
+    resume_rx: Receiver<Baton>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        shared: Arc<KernelShared>,
-        pid: Pid,
-        resume_rx: Receiver<WakeReason>,
-    ) -> Self {
+    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid, resume_rx: Receiver<Baton>) -> Self {
         Ctx {
             shared,
             pid,
@@ -45,24 +42,25 @@ impl Ctx {
     /// Block on the resume channel. `Err` means the simulation was torn
     /// down before this process ever ran.
     pub(crate) fn wait_resume(&self) -> Result<WakeReason, ()> {
-        self.resume_rx.recv().map_err(|_| ())
+        self.resume_rx.recv().map(take_baton).map_err(|_| ())
     }
 
     /// Block on the resume channel mid-run; unwinds with the teardown
-    /// sentinel if the engine has abandoned us (horizon stop / deadlock).
+    /// sentinel once the run is over (horizon stop / deadlock / panic).
     fn wait_resume_or_unwind(&self) -> WakeReason {
         match self.resume_rx.recv() {
-            Ok(reason) => reason,
+            Ok(baton) => take_baton(baton),
             Err(_) => std::panic::panic_any(Terminated),
         }
     }
 
+    /// Yield, and return once some process passes the baton back — at
+    /// once, with no thread switch, when the step picks this process again.
     fn do_yield(&mut self, op: YieldOp) -> WakeReason {
-        self.shared
-            .yield_tx
-            .send(YieldMsg { pid: self.pid, op })
-            .expect("engine disappeared");
-        self.wait_resume_or_unwind()
+        match self.shared.switch(self.pid, op) {
+            Some(reason) => reason,
+            None => self.wait_resume_or_unwind(),
+        }
     }
 
     /// This process's identifier.
@@ -186,6 +184,16 @@ impl Ctx {
     {
         self.shared.spawn_process(name, Some(at), Some(self.pid), f)
     }
+}
+
+/// Join the thread of a process that exited handing over `baton`; it has
+/// nothing left to do but return, so this waits only for its teardown.
+fn take_baton(baton: Baton) -> WakeReason {
+    if let Some(thread) = baton.reap {
+        // Past its hand-off an exiting thread runs no code that can panic.
+        let _ = thread.join();
+    }
+    baton.reason
 }
 
 impl std::fmt::Debug for Ctx {

@@ -4,8 +4,8 @@
 //! safe to share between processes (they are internally locked, and the
 //! engine guarantees only one process runs at a time).
 //!
-//! Every blocking method takes `&mut Ctx` because parking yields to the
-//! engine. Wake-ups may be spurious from the primitive's point of view
+//! Every blocking method takes `&mut Ctx` because parking yields control
+//! to the next process. Wake-ups may be spurious from the primitive's point of view
 //! (a process can hold at most one pending unpark token), so all wait loops
 //! re-check their condition.
 
