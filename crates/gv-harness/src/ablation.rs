@@ -184,6 +184,22 @@ mod tests {
         }
     }
 
+    /// The serial-flush schedule (each rank's stream drained before the
+    /// next rank is flushed) is pinned to the nanosecond: 8 processes at
+    /// scale 1/64.
+    #[test]
+    fn serial_flush_turnaround_is_pinned() {
+        let sc = Scenario::default();
+        for (benchmark, ns) in [
+            (BenchmarkId::VecAdd, 21_336_933u64),
+            (BenchmarkId::Ep, 1_119_706_448),
+            (BenchmarkId::Cg, 47_156_520),
+        ] {
+            let vt_ms = run_virtualized_ablated(&sc, benchmark, 8, 64, Ablation::SerialFlush);
+            assert_eq!(vt_ms, ns as f64 / 1.0e6, "{benchmark:?}");
+        }
+    }
+
     /// A single copy engine must hurt an I/O benchmark's pipeline but
     /// leave compute-bound EP almost untouched.
     #[test]

@@ -294,42 +294,82 @@ impl GvmStats {
     /// front-end merges all per-(device, wave) GVMs into one audit).
     /// Counters and durations add; high-water marks take the max.
     pub fn merge(&mut self, other: &GvmStats) {
-        self.snd_copies += other.snd_copies;
-        self.rcv_copies += other.rcv_copies;
-        self.copy_time += other.copy_time;
-        self.flushes += other.flushes;
-        self.submit_time += other.submit_time;
-        self.stp_waits += other.stp_waits;
-        self.evictions += other.evictions;
-        self.naks += other.naks;
-        self.dedup_hits += other.dedup_hits;
-        self.partial_flushes += other.partial_flushes;
-        self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
-        self.queue_depth_sum += other.queue_depth_sum;
-        self.queue_depth_samples += other.queue_depth_samples;
-        self.idle_gap += other.idle_gap;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.pool_high_water_bytes = self.pool_high_water_bytes.max(other.pool_high_water_bytes);
-        self.devcache_hits += other.devcache_hits;
-        self.devcache_misses += other.devcache_misses;
-        self.chunked_transfers += other.chunked_transfers;
-        self.chunks_submitted += other.chunks_submitted;
-        self.steady_prefetches += other.steady_prefetches;
-        self.pool_released_buffers += other.pool_released_buffers;
-        self.pool_released_bytes += other.pool_released_bytes;
-        self.pool_over_cap += other.pool_over_cap;
-        self.pool_backpressure_waits += other.pool_backpressure_waits;
-        self.quota_naks += other.quota_naks;
-        self.swap_outs += other.swap_outs;
-        self.swap_ins += other.swap_ins;
-        self.swapped_out_bytes += other.swapped_out_bytes;
-        self.swapped_in_bytes += other.swapped_in_bytes;
-        self.fused_dma_groups += other.fused_dma_groups;
-        self.fused_dma_subs += other.fused_dma_subs;
-        self.batched_launch_waves += other.batched_launch_waves;
-        self.batched_launches += other.batched_launches;
-        self.flush_dma_ops += other.flush_dma_ops;
+        // No `..`: a field added to `GvmStats` fails to compile here
+        // until it is merged.
+        let GvmStats {
+            snd_copies,
+            rcv_copies,
+            copy_time,
+            flushes,
+            submit_time,
+            stp_waits,
+            evictions,
+            naks,
+            dedup_hits,
+            partial_flushes,
+            queue_depth_max,
+            queue_depth_sum,
+            queue_depth_samples,
+            idle_gap,
+            pool_hits,
+            pool_misses,
+            pool_high_water_bytes,
+            devcache_hits,
+            devcache_misses,
+            chunked_transfers,
+            chunks_submitted,
+            steady_prefetches,
+            pool_released_buffers,
+            pool_released_bytes,
+            pool_over_cap,
+            pool_backpressure_waits,
+            quota_naks,
+            swap_outs,
+            swap_ins,
+            swapped_out_bytes,
+            swapped_in_bytes,
+            fused_dma_groups,
+            fused_dma_subs,
+            batched_launch_waves,
+            batched_launches,
+            flush_dma_ops,
+        } = other;
+        self.snd_copies += *snd_copies;
+        self.rcv_copies += *rcv_copies;
+        self.copy_time += *copy_time;
+        self.flushes += *flushes;
+        self.submit_time += *submit_time;
+        self.stp_waits += *stp_waits;
+        self.evictions += *evictions;
+        self.naks += *naks;
+        self.dedup_hits += *dedup_hits;
+        self.partial_flushes += *partial_flushes;
+        self.queue_depth_max = self.queue_depth_max.max(*queue_depth_max);
+        self.queue_depth_sum += *queue_depth_sum;
+        self.queue_depth_samples += *queue_depth_samples;
+        self.idle_gap += *idle_gap;
+        self.pool_hits += *pool_hits;
+        self.pool_misses += *pool_misses;
+        self.pool_high_water_bytes = self.pool_high_water_bytes.max(*pool_high_water_bytes);
+        self.devcache_hits += *devcache_hits;
+        self.devcache_misses += *devcache_misses;
+        self.chunked_transfers += *chunked_transfers;
+        self.chunks_submitted += *chunks_submitted;
+        self.steady_prefetches += *steady_prefetches;
+        self.pool_released_buffers += *pool_released_buffers;
+        self.pool_released_bytes += *pool_released_bytes;
+        self.pool_over_cap += *pool_over_cap;
+        self.pool_backpressure_waits += *pool_backpressure_waits;
+        self.quota_naks += *quota_naks;
+        self.swap_outs += *swap_outs;
+        self.swap_ins += *swap_ins;
+        self.swapped_out_bytes += *swapped_out_bytes;
+        self.swapped_in_bytes += *swapped_in_bytes;
+        self.fused_dma_groups += *fused_dma_groups;
+        self.fused_dma_subs += *fused_dma_subs;
+        self.batched_launch_waves += *batched_launch_waves;
+        self.batched_launches += *batched_launches;
+        self.flush_dma_ops += *flush_dma_ops;
     }
 
     /// Fraction of flush-path DMA submissions that rode in a fused group
@@ -380,9 +420,8 @@ struct MemLayer {
     pool: StagingPool,
     devcache: DeviceAllocCache,
     chooser: AdaptiveChooser,
-    /// Reusable span scratch for the per-round staging/flush paths
-    /// ([`plan_scratch`](Self::plan_scratch)): steady-state rounds plan
-    /// their transfers without allocating.
+    /// Reusable span scratch [`plan`](Self::plan) fills: steady-state
+    /// rounds plan their transfers without allocating.
     spans: Vec<gv_mem::Span>,
     /// Reusable ACK-order scratch for `flush_group`.
     ack: Vec<usize>,
@@ -397,52 +436,16 @@ struct MemLayer {
 }
 
 impl MemLayer {
-    /// Choose a chunk count for `payload`, allocate a transfer-group id,
-    /// and commit the plan to the analysis stream (so the staging checker
-    /// holds the transfer to exactly that tiling); returns the id and the
-    /// spans. Callers must stage/record every returned span.
-    fn plan(
-        &mut self,
-        tracer: &gv_sim::Tracer,
-        rank: usize,
-        payload: u64,
-    ) -> (u64, Vec<gv_mem::Span>) {
-        let k = self.chooser.choose(payload, &self.mem.pipeline);
-        self.plan_k(tracer, rank, payload, k)
-    }
-
-    /// [`plan`](Self::plan) with a caller-forced chunk count (the
-    /// first-round-only ablation pins steady-state rounds to `k = 1`).
-    fn plan_k(
-        &mut self,
-        tracer: &gv_sim::Tracer,
-        rank: usize,
-        payload: u64,
-        k: u64,
-    ) -> (u64, Vec<gv_mem::Span>) {
-        let spans = PipelineConfig::plan_exact(payload, k);
-        // Tracer-global id: co-resident GVMs share one analysis stream.
-        let xfer = tracer.alloc_xfer_id();
-        if payload > 0 {
-            gv_mem::record_plan(
-                tracer,
-                rank,
-                xfer,
-                payload,
-                spans.len() as u64,
-                self.mem.pipeline.chunks.max(1) as u64,
-                self.mem.pipeline.adaptive,
-            );
-        }
-        (xfer, spans)
-    }
-
-    /// [`plan`](Self::plan) into the reusable scratch (`self.spans`) —
-    /// the allocation-free variant the per-round hot paths use. Produces
-    /// exactly the spans and analysis records `plan` would.
-    fn plan_scratch(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64) -> u64 {
-        let k = self.chooser.choose(payload, &self.mem.pipeline);
+    /// Plan `payload` into [`spans`](Self::spans): pick a chunk count
+    /// (or take the caller-forced `k` — the first-round-only ablation pins
+    /// steady-state rounds to `k = 1`), allocate a transfer-group id, and
+    /// commit the plan to the analysis stream (so the staging checker
+    /// holds the transfer to exactly that tiling); returns the id. Callers
+    /// must stage/record every planned span.
+    fn plan(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64, k: Option<u64>) -> u64 {
+        let k = k.unwrap_or_else(|| self.chooser.choose(payload, &self.mem.pipeline));
         PipelineConfig::plan_exact_into(payload, k, &mut self.spans);
+        // Tracer-global id: co-resident GVMs share one analysis stream.
         let xfer = tracer.alloc_xfer_id();
         if payload > 0 {
             gv_mem::record_plan(
@@ -456,6 +459,106 @@ impl MemLayer {
             );
         }
         xfer
+    }
+
+    /// Zero `bytes` of device memory at `ptr` span by span through the
+    /// chunked planner, so the staging checker audits the tiling like any
+    /// other transfer: a recycled or swapped-in allocation must look fresh
+    /// to a functional task, whose untouched device memory reads as zeroes.
+    fn zero_fill(
+        &mut self,
+        tracer: &gv_sim::Tracer,
+        cuda: &CudaDevice,
+        rank: usize,
+        ptr: DevicePtr,
+        bytes: u64,
+    ) {
+        let xfer = self.plan(tracer, rank, bytes, None);
+        let zeros = vec![0u8; bytes as usize];
+        for &span in &self.spans {
+            cuda.device()
+                .with_memory(|m| m.write_bytes(ptr.add(span.offset), &zeros[..span.len as usize]))
+                .expect("zero recycled device allocation");
+            gv_mem::record_chunk(
+                tracer,
+                cuda.device().tracer_ordinal(),
+                rank,
+                xfer,
+                true,
+                span,
+                bytes,
+                0,
+                String::new(),
+            );
+        }
+    }
+}
+
+/// One planned transfer between a staging lease and device memory, moved
+/// span by span on one stream. Every chunked copy the GVM makes — flush
+/// H2D/D2H, the `SND` pre-issue, swap-in and swap-out — is submitted
+/// here.
+struct SpanCopy<'a> {
+    cc: &'a gv_cuda::CudaContext,
+    stream: gv_gpu::StreamId,
+    rank: usize,
+    /// Transfer-group id from [`MemLayer::plan`].
+    xfer: u64,
+    h2d: bool,
+    payload: u64,
+    lease: &'a StagingLease,
+    /// Device address of the payload's first byte.
+    dev: DevicePtr,
+}
+
+impl SpanCopy<'_> {
+    /// Submit every span's async copy and record it as a chunk of the
+    /// transfer; returns the number of copies submitted.
+    fn submit(&self, ctx: &mut Ctx, spans: &[gv_mem::Span]) -> u64 {
+        self.submit_staged(ctx, spans, |_, _| true);
+        spans.len() as u64
+    }
+
+    /// [`submit`](Self::submit) with a hook run before each span: the
+    /// staged `SND` stages the span from shm into the lease there. The
+    /// hook returns whether the span's copy is issued now; a deferred span
+    /// (its H2D left to the flush) is recorded without a command label.
+    fn submit_staged(
+        &self,
+        ctx: &mut Ctx,
+        spans: &[gv_mem::Span],
+        mut stage: impl FnMut(&mut Ctx, gv_mem::Span) -> bool,
+    ) {
+        let analysis = ctx.tracer().analysis_enabled();
+        let buf = self.lease.buffer();
+        for &span in spans {
+            let mut label = String::new();
+            if stage(ctx, span) {
+                let dev = self.dev.add(span.offset);
+                let cmd = if self.h2d {
+                    self.cc
+                        .memcpy_h2d_async_at(ctx, self.stream, buf, span.offset, dev, span.len)
+                } else {
+                    self.cc
+                        .memcpy_d2h_async_at(ctx, self.stream, dev, buf, span.offset, span.len)
+                }
+                .expect("GVM span copy submit");
+                if analysis {
+                    label = format!("cmd-{}", cmd.id);
+                }
+            }
+            gv_mem::record_chunk(
+                ctx.tracer(),
+                self.cc.cuda().device().tracer_ordinal(),
+                self.rank,
+                self.xfer,
+                self.h2d,
+                span,
+                self.payload,
+                self.lease.id(),
+                label,
+            );
+        }
     }
 }
 
@@ -584,16 +687,12 @@ impl Gvm {
     pub fn prepare(node: &Node, config: GvmConfig, tasks: Vec<GpuTask>) -> GvmHandle {
         assert_eq!(tasks.len(), config.ntask, "one task per SPMD rank required");
         assert!(config.ntask >= 1);
-        let endpoints = Endpoints::new(&config.name);
-        let shm_reg = ShmRegistry::new(node.config());
-        let req_reg: MqRegistry<Request> = MqRegistry::new(node.config());
-        let resp_reg: MqRegistry<Response> = MqRegistry::new(node.config());
         GvmHandle {
-            endpoints: endpoints.clone(),
+            endpoints: Endpoints::new(&config.name),
             config: Arc::new(config),
-            shm: shm_reg,
-            req_mq: req_reg,
-            resp_mq: resp_reg,
+            shm: ShmRegistry::new(node.config()),
+            req_mq: MqRegistry::new(node.config()),
+            resp_mq: MqRegistry::new(node.config()),
             ready: Gate::new(),
             done: Gate::new(),
             tasks: Arc::new(tasks),
@@ -609,26 +708,25 @@ impl Gvm {
         cudas: &[CudaDevice],
         node: &Node,
     ) {
-        assert!(!cudas.is_empty(), "at least one device required");
-        let h = handle.clone();
-        let cudas = cudas.to_vec();
-        let node = node.clone();
-        sim.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            gvm_main(ctx, h, cudas, node);
-        });
+        sim.spawn(&handle.endpoints.gvm, Self::manager(handle, cudas, node));
     }
 
     /// Boot the manager process for a [prepared](Gvm::prepare) handle from
     /// within a running process (e.g. a cluster wave controller releasing
     /// the next admission wave once the previous one drains).
     pub fn spawn_prepared_from(ctx: &Ctx, handle: &GvmHandle, cudas: &[CudaDevice], node: &Node) {
+        ctx.spawn(&handle.endpoints.gvm, Self::manager(handle, cudas, node));
+    }
+
+    /// The manager process body for a prepared handle.
+    fn manager(
+        handle: &GvmHandle,
+        cudas: &[CudaDevice],
+        node: &Node,
+    ) -> impl FnOnce(&mut Ctx) + Send + 'static {
         assert!(!cudas.is_empty(), "at least one device required");
-        let h = handle.clone();
-        let cudas = cudas.to_vec();
-        let node = node.clone();
-        ctx.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            gvm_main(ctx, h, cudas, node);
-        });
+        let (h, cudas, node) = (handle.clone(), cudas.to_vec(), node.clone());
+        move |ctx| gvm_main(ctx, h, cudas, node)
     }
 }
 
@@ -706,26 +804,19 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
         // client's SND write lands directly in pinned memory and H2D
         // issues straight from it; the staged-copy path keeps the plain
         // segment.
-        let (shm, zc_lease) = if cfg.mem.zero_copy {
-            let lease = ml
-                .pool
-                .acquire_on(ctx.tracer(), shm_size, task.is_functional(), numa);
-            let shm = h
-                .shm
-                .create_backed(
-                    &endpoints.shm(r),
-                    shm_size,
-                    Arc::new(LeaseBacking::new(&lease)),
-                )
-                .expect("shm name free");
-            (shm, Some(lease))
-        } else {
-            let shm = h
-                .shm
-                .create(&endpoints.shm(r), shm_size)
-                .expect("shm name free");
-            (shm, None)
-        };
+        let zc_lease = cfg.mem.zero_copy.then(|| {
+            ml.pool
+                .acquire_on(ctx.tracer(), shm_size, task.is_functional(), numa)
+        });
+        let shm = match &zc_lease {
+            Some(lease) => h.shm.create_backed(
+                &endpoints.shm(r),
+                shm_size,
+                Arc::new(LeaseBacking::new(lease)),
+            ),
+            None => h.shm.create(&endpoints.shm(r), shm_size),
+        }
+        .expect("shm name free");
         let resp = h
             .resp_mq
             .create(&endpoints.response_queue(r), None)
@@ -743,33 +834,6 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
         } else {
             None
         };
-        // With quota accounting on, an eager boot allocation is charged
-        // (and its quota declared) right here; the lazy path declares at
-        // REQ and charges at first SND.
-        let mut charged = 0u64;
-        if cfg.quotas.is_some() && gpu.is_some() {
-            let bytes = task.device_bytes.max(1);
-            let quota = cfg.quota_for(r);
-            let cap = cudas[dev_idx].device().with_memory(|m| m.capacity());
-            ctx.tracer()
-                .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
-                    time: ctx.now(),
-                    gvm: endpoints.gvm.clone(),
-                    rank: r,
-                    quota: quota.resolve(cap).unwrap_or(0),
-                    demand: bytes,
-                });
-            charged = bytes;
-            cudas[dev_idx].device().with_memory(|m| m.charge(bytes));
-            ctx.tracer()
-                .record_analysis(gv_sim::AnalysisRecord::QuotaCharge {
-                    time: ctx.now(),
-                    gvm: endpoints.gvm.clone(),
-                    rank: r,
-                    bytes,
-                    charged,
-                });
-        }
         // Pinned staging is leased per round from the shared pool (at SND
         // for input, at flush for output) instead of allocated per rank
         // here — recycled leases make steady-state rounds allocation-free.
@@ -791,10 +855,19 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
             rounds_done: 0,
             task,
             state: RankState::Active,
-            charged,
+            charged: 0,
             last_seq: 0,
             last_resp: None,
         });
+        // With quota accounting on, an eager boot allocation is charged
+        // (and its quota declared) right here; the lazy path declares at
+        // REQ and charges at first SND.
+        if cfg.quotas.is_some() && !lazy_alloc {
+            let rank = ranks.last_mut().expect("pushed above");
+            let bytes = rank.task.device_bytes.max(1);
+            quota_declare(ctx, &h, &cudas, rank, r);
+            quota_charge(ctx, &h, &cudas, rank, r, bytes);
+        }
     }
     // The dispatch policy. Per-rank service estimates feed shortest-job-
     // first ordering; the other policies ignore them.
@@ -844,12 +917,11 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                 Some(d) => d,
                 None => ctx.now() + ft.idle_timeout,
             });
-            let deadline = match (ft_deadline, sched_deadline) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => unreachable!("timed receive requires a deadline"),
-            };
+            let deadline = ft_deadline
+                .into_iter()
+                .chain(sched_deadline)
+                .min()
+                .expect("timed receive requires a deadline");
             match req_q.recv_timeout(ctx, deadline.duration_since(ctx.now())) {
                 RecvTimeout::Msg(req) => req,
                 RecvTimeout::Closed => break,
@@ -860,40 +932,14 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                         // Batch timer expired: flush whatever is pending,
                         // nobody is presumed dead.
                         ctx.tracer().instant(ctx.now(), "sched", "batch-timeout");
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_deadline(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
-                    } else if str_waiting.is_empty() {
-                        // Nothing barriered and nobody talking: the
-                        // remaining active ranks are gone. Evict them all.
-                        for r in 0..ranks.len() {
-                            if ranks[r].state == RankState::Active {
-                                evict(
-                                    ctx,
-                                    &h,
-                                    &cudas,
-                                    &contexts,
-                                    &mut ranks,
-                                    &mut str_waiting,
-                                    &mut ml,
-                                    r,
-                                );
-                                finished += 1;
-                            }
-                        }
                     } else {
-                        // Barrier stalled: evict the stragglers; the
-                        // policy re-arms at the reduced width and flushes
-                        // so survivors complete.
+                        // The ranks that never barriered are gone: with
+                        // nothing barriered and nobody talking, that is
+                        // every remaining active rank; with a stalled
+                        // barrier, the stragglers — then the policy
+                        // re-arms at the reduced width and flushes so
+                        // survivors complete.
+                        let stalled = !str_waiting.is_empty();
                         for r in 0..ranks.len() {
                             if ranks[r].state == RankState::Active && !str_waiting.contains(&r) {
                                 evict(
@@ -909,21 +955,23 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                                 finished += 1;
                             }
                         }
+                        if !stalled {
+                            continue;
+                        }
                         ctx.tracer()
                             .fault(ctx.now(), format!("barrier-degrade:{}", str_waiting.len()));
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_deadline(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
                     }
+                    let groups = scheduler.on_deadline(&str_waiting, active_count(&ranks));
+                    dispatch_groups(
+                        ctx,
+                        &h,
+                        &contexts,
+                        &mut ranks,
+                        &mut str_waiting,
+                        &mut batch_start,
+                        &mut ml,
+                        groups,
+                    );
                     continue;
                 }
             }
@@ -987,56 +1035,44 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                 // lazy path the quota is declared and enforced here: a
                 // session whose declared demand cannot ever fit its quota
                 // is refused at admission, not after staging work.
-                if cfg.quotas.is_some() && lazy_alloc {
-                    let demand = ranks[r].task.device_bytes.max(1);
-                    let dev_idx = ranks[r].dev_idx;
-                    let cap = cudas[dev_idx].device().with_memory(|m| m.capacity());
-                    let quota = cfg.quota_for(r);
-                    ctx.tracer()
-                        .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
-                            time: ctx.now(),
-                            gvm: h.endpoints.gvm.clone(),
-                            rank: r,
-                            quota: quota.resolve(cap).unwrap_or(0),
-                            demand,
-                        });
-                    if !quota.admits(demand, cap) {
-                        ctx.tracer().fault(ctx.now(), format!("quota-nak:rank{r}"));
-                        {
-                            let mut stats = h.stats.lock();
-                            stats.naks += 1;
-                            stats.quota_naks += 1;
-                        }
-                        send_recorded(
-                            ctx,
-                            &mut ranks[r],
-                            Response::nak_reason(req.seq, NakReason::OverQuota),
-                        );
-                        evict(
-                            ctx,
-                            &h,
-                            &cudas,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut ml,
-                            r,
-                        );
-                        finished += 1;
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_membership(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
-                        continue;
+                if cfg.quotas.is_some()
+                    && lazy_alloc
+                    && !quota_declare(ctx, &h, &cudas, &ranks[r], r)
+                {
+                    ctx.tracer().fault(ctx.now(), format!("quota-nak:rank{r}"));
+                    {
+                        let mut stats = h.stats.lock();
+                        stats.naks += 1;
+                        stats.quota_naks += 1;
                     }
+                    send_recorded(
+                        ctx,
+                        &mut ranks[r],
+                        Response::nak_reason(req.seq, NakReason::OverQuota),
+                    );
+                    evict(
+                        ctx,
+                        &h,
+                        &cudas,
+                        &contexts,
+                        &mut ranks,
+                        &mut str_waiting,
+                        &mut ml,
+                        r,
+                    );
+                    finished += 1;
+                    let groups = scheduler.on_membership(&str_waiting, active_count(&ranks));
+                    dispatch_groups(
+                        ctx,
+                        &h,
+                        &contexts,
+                        &mut ranks,
+                        &mut str_waiting,
+                        &mut batch_start,
+                        &mut ml,
+                        groups,
+                    );
+                    continue;
                 }
                 // Zero-copy: the REQ ACK carries the staging descriptor —
                 // the client's window into this rank's lease-backed
@@ -1084,37 +1120,9 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     let base = match ml.devcache.take(dev_idx, dev_bytes) {
                         Some(CachedAlloc::Resident(ptr)) => {
                             // A recycled allocation must look fresh to a
-                            // functional task: untouched device memory
-                            // reads as zeroes, so restore that. The
-                            // restore goes through the same chunked
-                            // planner as payload transfers, so the
-                            // staging checker audits its tiling too.
+                            // functional task.
                             if functional {
-                                let (xfer, spans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                let zeros = vec![0u8; dev_bytes as usize];
-                                for span in &spans {
-                                    cudas[dev_idx]
-                                        .device()
-                                        .with_memory(|m| {
-                                            m.write_bytes(
-                                                ptr.add(span.offset),
-                                                &zeros[span.offset as usize
-                                                    ..(span.offset + span.len) as usize],
-                                            )
-                                        })
-                                        .expect("zero recycled device allocation");
-                                    gv_mem::record_chunk(
-                                        ctx.tracer(),
-                                        cudas[dev_idx].device().tracer_ordinal(),
-                                        r,
-                                        xfer,
-                                        true,
-                                        *span,
-                                        dev_bytes,
-                                        0,
-                                        String::new(),
-                                    );
-                                }
+                                ml.zero_fill(ctx.tracer(), &cudas[dev_idx], r, ptr, dev_bytes);
                             }
                             Ok(ptr)
                         }
@@ -1129,30 +1137,18 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                                 dev_bytes,
                             ) {
                                 Ok(ptr) => {
-                                    let (xfer, spans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                    for span in &spans {
-                                        let cmd = contexts[dev_idx]
-                                            .memcpy_h2d_async_at(
-                                                ctx,
-                                                stream,
-                                                lease.buffer(),
-                                                span.offset,
-                                                ptr.add(span.offset),
-                                                span.len,
-                                            )
-                                            .expect("swap-in H2D submit");
-                                        gv_mem::record_chunk(
-                                            ctx.tracer(),
-                                            cudas[dev_idx].device().tracer_ordinal(),
-                                            r,
-                                            xfer,
-                                            true,
-                                            *span,
-                                            dev_bytes,
-                                            lease.id(),
-                                            format!("cmd-{}", cmd.id),
-                                        );
+                                    let xfer = ml.plan(ctx.tracer(), r, dev_bytes, None);
+                                    SpanCopy {
+                                        cc: &contexts[dev_idx],
+                                        stream,
+                                        rank: r,
+                                        xfer,
+                                        h2d: true,
+                                        payload: dev_bytes,
+                                        lease: &lease,
+                                        dev: ptr,
                                     }
+                                    .submit(ctx, &ml.spans);
                                     // Recycle only after the restore
                                     // copies completed (no use-after-
                                     // recycle on the staging buffer).
@@ -1176,31 +1172,13 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                                     // task needs fresh zeroes, same as the
                                     // resident-recycle path.
                                     if functional {
-                                        let (zxfer, zspans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                        let zeros = vec![0u8; dev_bytes as usize];
-                                        for span in &zspans {
-                                            cudas[dev_idx]
-                                                .device()
-                                                .with_memory(|m| {
-                                                    m.write_bytes(
-                                                        ptr.add(span.offset),
-                                                        &zeros[span.offset as usize
-                                                            ..(span.offset + span.len) as usize],
-                                                    )
-                                                })
-                                                .expect("zero swapped-in allocation");
-                                            gv_mem::record_chunk(
-                                                ctx.tracer(),
-                                                cudas[dev_idx].device().tracer_ordinal(),
-                                                r,
-                                                zxfer,
-                                                true,
-                                                *span,
-                                                dev_bytes,
-                                                0,
-                                                String::new(),
-                                            );
-                                        }
+                                        ml.zero_fill(
+                                            ctx.tracer(),
+                                            &cudas[dev_idx],
+                                            r,
+                                            ptr,
+                                            dev_bytes,
+                                        );
                                     }
                                     Ok(ptr)
                                 }
@@ -1226,10 +1204,7 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                         }
                         Err(_) => {
                             ctx.tracer().fault(ctx.now(), format!("oom-nak:rank{r}"));
-                            {
-                                let mut stats = h.stats.lock();
-                                stats.naks += 1;
-                            }
+                            h.stats.lock().naks += 1;
                             send_recorded(
                                 ctx,
                                 &mut ranks[r],
@@ -1246,8 +1221,8 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                                 r,
                             );
                             finished += 1;
-                            let active = active_count(&ranks);
-                            let groups = scheduler.on_membership(&str_waiting, active);
+                            let groups =
+                                scheduler.on_membership(&str_waiting, active_count(&ranks));
                             dispatch_groups(
                                 ctx,
                                 &h,
@@ -1274,10 +1249,8 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                         .desc
                         .is_some_and(|d| ranks[r].zc_desc == Some(d) && ml.pool.validate(&d));
                     if ctx.tracer().analysis_enabled() {
-                        let (buf, generation) = req
-                            .desc
-                            .map(|d| (d.segment, d.generation))
-                            .unwrap_or((0, 0));
+                        let (buf, generation) =
+                            req.desc.map_or((0, 0), |d| (d.segment, d.generation));
                         ctx.tracer()
                             .record_analysis(gv_sim::AnalysisRecord::DescUse {
                                 time: ctx.now(),
@@ -1304,39 +1277,19 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                         // is handed to the copy engine now, ahead of the
                         // kernels on the same in-order stream, so the
                         // flush skips iteration 0's upload.
-                        let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                        let analysis = ctx.tracer().analysis_enabled();
+                        let xfer = ml.plan(ctx.tracer(), r, bytes, None);
                         let rank = &mut ranks[r];
-                        let gpu = rank.gpu.as_ref().expect("SND after allocation");
-                        let lease = rank.zc_lease.as_ref().expect("zero-copy lease");
-                        for span in &ml.spans {
-                            let cmd = contexts[rank.dev_idx]
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM zero-copy H2D submit");
-                            let label = if analysis {
-                                format!("cmd-{}", cmd.id)
-                            } else {
-                                String::new()
-                            };
-                            gv_mem::record_chunk(
-                                ctx.tracer(),
-                                cudas[rank.dev_idx].device().tracer_ordinal(),
-                                r,
-                                xfer,
-                                true,
-                                *span,
-                                bytes,
-                                lease.id(),
-                                label,
-                            );
+                        SpanCopy {
+                            cc: &contexts[rank.dev_idx],
+                            stream: rank.stream,
+                            rank: r,
+                            xfer,
+                            h2d: true,
+                            payload: bytes,
+                            lease: rank.zc_lease.as_ref().expect("zero-copy lease"),
+                            dev: rank.gpu.as_ref().expect("SND after allocation").dev_base,
                         }
+                        .submit(ctx, &ml.spans);
                         rank.h2d_preissued = true;
                         if ml.spans.len() > 1 {
                             let mut stats = h.stats.lock();
@@ -1376,83 +1329,48 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     // Coalescing: chain this lease right after the last
                     // one handed out, so co-flushed ranks' staging leases
                     // sit adjacent and the flush planner can fuse them.
-                    let hint = if ml.mem.coalesce.enabled {
-                        ml.chain_next
+                    let rank = &mut ranks[r];
+                    let slot = if prefetch {
+                        &mut rank.pinned_in_next
                     } else {
-                        None
+                        &mut rank.pinned_in
                     };
-                    let mut chain = ml.chain_next;
-                    if prefetch {
-                        if ranks[r].pinned_in_next.is_none() {
-                            let numa = ranks[r].numa;
-                            let lease =
-                                ml.pool
-                                    .acquire_at(ctx.tracer(), bytes, functional, numa, hint);
-                            chain = Some(lease.place_addr() + lease.capacity());
-                            ranks[r].pinned_in_next = Some(lease);
+                    if slot.is_none() {
+                        let coalesce = ml.mem.coalesce.enabled;
+                        let hint = ml.chain_next.filter(|_| coalesce);
+                        let lease =
+                            ml.pool
+                                .acquire_at(ctx.tracer(), bytes, functional, rank.numa, hint);
+                        if coalesce {
+                            ml.chain_next = Some(lease.place_addr() + lease.capacity());
                         }
-                    } else if ranks[r].pinned_in.is_none() {
-                        let numa = ranks[r].numa;
-                        let lease = ml
-                            .pool
-                            .acquire_at(ctx.tracer(), bytes, functional, numa, hint);
-                        chain = Some(lease.place_addr() + lease.capacity());
-                        ranks[r].pinned_in = Some(lease);
+                        *slot = Some(lease);
                     }
-                    if ml.mem.coalesce.enabled {
-                        ml.chain_next = chain;
-                    }
-                    let (xfer, spans) = if ablate {
-                        ml.plan_k(ctx.tracer(), r, bytes, 1)
-                    } else {
-                        ml.plan(ctx.tracer(), r, bytes)
-                    };
-                    let chunked = spans.len() > 1;
+                    let lease = slot.as_ref().expect("pinned input leased above");
+                    let xfer = ml.plan(ctx.tracer(), r, bytes, ablate.then_some(1));
+                    let chunked = ml.spans.len() > 1;
                     let mut stage_ns = 0u64;
-                    for span in &spans {
-                        let rank = &mut ranks[r];
-                        let lease = if prefetch {
-                            rank.pinned_in_next.as_ref()
-                        } else {
-                            rank.pinned_in.as_ref()
-                        }
-                        .expect("pinned input leased above");
+                    SpanCopy {
+                        cc: &contexts[rank.dev_idx],
+                        stream: rank.stream,
+                        rank: r,
+                        xfer,
+                        h2d: true,
+                        payload: bytes,
+                        lease,
+                        dev: rank.gpu.as_ref().expect("SND after allocation").dev_base,
+                    }
+                    .submit_staged(ctx, &ml.spans, |ctx, span| {
                         let s0 = ctx.now();
-                        gv_mem::stage_span(ctx, &rank.shm, lease.buffer(), *span, true)
+                        gv_mem::stage_span(ctx, &rank.shm, lease.buffer(), span, true)
                             .expect("SND staging");
                         stage_ns += ctx.now().duration_since(s0).as_nanos();
                         // Chunked transfers hand every span to the copy
                         // engine as it is staged; prefetched rounds hand
                         // over even a single span (the whole point is
                         // getting the H2D in before the round boundary).
-                        let label = if chunked || prefetch {
-                            let gpu = rank.gpu.as_ref().expect("SND after allocation");
-                            let cmd = contexts[rank.dev_idx]
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM chunked H2D submit");
-                            format!("cmd-{}", cmd.id)
-                        } else {
-                            String::new()
-                        };
-                        gv_mem::record_chunk(
-                            ctx.tracer(),
-                            cudas[rank.dev_idx].device().tracer_ordinal(),
-                            r,
-                            xfer,
-                            true,
-                            *span,
-                            bytes,
-                            lease.id(),
-                            label,
-                        );
-                    }
+                        chunked || prefetch
+                    });
                     // Feed the measured staging latency back into the
                     // adaptive model.
                     ml.chooser.observe_stage(bytes, stage_ns);
@@ -1469,7 +1387,7 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     }
                     if chunked {
                         stats.chunked_transfers += 1;
-                        stats.chunks_submitted += spans.len() as u64;
+                        stats.chunks_submitted += ml.spans.len() as u64;
                     }
                 }
                 send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
@@ -1496,8 +1414,7 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     "sched",
                     format!("queue-depth:{}", str_waiting.len()),
                 );
-                let active = active_count(&ranks);
-                let groups = scheduler.on_str(&str_waiting, active);
+                let groups = scheduler.on_str(&str_waiting, active_count(&ranks));
                 dispatch_groups(
                     ctx,
                     &h,
@@ -1518,12 +1435,10 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     Some(tail) => tail.is_done(),
                     None => contexts[ranks[r].dev_idx].stream_query(ranks[r].stream),
                 };
-                if !done {
-                    h.stats.lock().stp_waits += 1;
-                }
                 let resp = if done {
                     Response::ack(req.seq)
                 } else {
+                    h.stats.lock().stp_waits += 1;
                     Response::wait(req.seq)
                 };
                 send_recorded(ctx, &mut ranks[r], resp);
@@ -1558,83 +1473,49 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                 // so no copy still references them; a prefetched next
                 // round's H2D reads `pinned_in_next`, which is promoted,
                 // never recycled, here).
-                if let Some(l) = ranks[r].pinned_in.take() {
+                let rank = &mut ranks[r];
+                for l in [rank.pinned_in.take(), rank.pinned_out.take()]
+                    .into_iter()
+                    .flatten()
+                {
                     ml.pool.recycle(ctx.tracer(), l);
                 }
-                if let Some(l) = ranks[r].pinned_out.take() {
-                    ml.pool.recycle(ctx.tracer(), l);
-                }
-                ranks[r].pinned_in = ranks[r].pinned_in_next.take();
-                ranks[r].h2d_preissued = std::mem::take(&mut ranks[r].h2d_preissued_next);
-                ranks[r].round_tail = None;
-                ranks[r].rounds_done += 1;
-                send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
+                rank.pinned_in = rank.pinned_in_next.take();
+                rank.h2d_preissued = std::mem::take(&mut rank.h2d_preissued_next);
+                rank.round_tail = None;
+                rank.rounds_done += 1;
+                send_recorded(ctx, rank, Response::ack(req.seq));
             }
             RequestKind::Rls => {
-                ranks[r].state = RankState::Released;
                 finished += 1;
-                {
-                    let rank = &mut ranks[r];
-                    let idle = contexts[rank.dev_idx].stream_query(rank.stream);
-                    // Under lazy allocation (fault tolerance or finite
-                    // quotas) a released rank's device allocation is
-                    // parked in the same cache the evict path feeds, so a
-                    // later admission of the same shape (e.g. a second
-                    // scheduling wave) reuses it instead of paying
-                    // cudaMalloc again — and so demand-swap has idle
-                    // working sets to evict. Fault-free unlimited GVMs
-                    // keep the seed behavior: allocations live to
-                    // shutdown.
-                    if lazy_alloc && idle {
-                        if let Some(gpu) = rank.gpu.take() {
-                            ml.devcache.put(
-                                rank.dev_idx,
-                                rank.task.device_bytes.max(1),
-                                gpu.dev_base,
-                                ctx.now(),
-                            );
-                        }
-                    }
-                    // Releasing the session releases its quota charge
-                    // (the parked allocation is cache capacity, not
-                    // session commitment).
-                    quota_credit_all(ctx, &h, &cudas, rank, r);
-                    // A client that releases mid-cycle (after a prefetch,
-                    // before the round it fed) leaves staged leases
-                    // behind; reclaim them once nothing references them.
-                    if idle {
-                        if let Some(l) = rank.pinned_in.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                        if let Some(l) = rank.pinned_in_next.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                        if let Some(l) = rank.pinned_out.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                    }
-                    // The zero-copy lease's generation is bumped either
-                    // way, so any descriptor the client still holds goes
-                    // stale. With copies still in flight the lease is
-                    // retired instead of recycled — nobody can ever be
-                    // handed a window an async copy still references.
-                    if let Some(l) = rank.zc_lease.take() {
-                        rank.zc_desc = None;
-                        if idle {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        } else {
-                            ml.pool.retire(ctx.tracer(), l);
-                        }
-                    }
-                    rank.round_tail = None;
+                let rank = &mut ranks[r];
+                rank.state = RankState::Released;
+                let idle = contexts[rank.dev_idx].stream_query(rank.stream);
+                // Under lazy allocation (fault tolerance or finite quotas)
+                // a released rank's device allocation is parked in the
+                // same cache the evict path feeds, so a later admission of
+                // the same shape (e.g. a second scheduling wave) reuses it
+                // instead of paying cudaMalloc again — and so demand-swap
+                // has idle working sets to evict. Fault-free unlimited GVMs
+                // keep allocations live to shutdown.
+                if let Some(gpu) = rank.gpu.take_if(|_| lazy_alloc && idle) {
+                    let bytes = rank.task.device_bytes.max(1);
+                    ml.devcache
+                        .put(rank.dev_idx, bytes, gpu.dev_base, ctx.now());
                 }
-                send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
+                // Releasing the session releases its quota charge (the
+                // parked allocation is cache capacity, not session
+                // commitment).
+                quota_credit_all(ctx, &h, &cudas, rank, r);
+                // A client that releases mid-cycle (after a prefetch,
+                // before the round it fed) leaves staged leases behind.
+                reclaim_leases(ctx, &mut ml, rank, idle);
+                send_recorded(ctx, rank, Response::ack(req.seq));
                 // A release shrinks the group: the barrier other ranks are
                 // waiting behind may now be satisfied at the reduced width
                 // (in every mode — the seed only re-evaluated under fault
                 // tolerance, which hung non-uniform fault-free groups).
-                let active = active_count(&ranks);
-                let groups = scheduler.on_membership(&str_waiting, active);
+                let groups = scheduler.on_membership(&str_waiting, active_count(&ranks));
                 dispatch_groups(
                     ctx,
                     &h,
@@ -1703,6 +1584,29 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
 fn send_recorded(ctx: &mut Ctx, rank: &mut RankResources, resp: Response) {
     rank.last_resp = Some(resp.kind);
     let _ = rank.resp.send(ctx, resp);
+}
+
+/// Declare rank `r`'s quota and device-memory demand on the analysis
+/// stream; returns whether the demand can ever fit the quota.
+fn quota_declare(
+    ctx: &Ctx,
+    h: &GvmHandle,
+    cudas: &[CudaDevice],
+    rank: &RankResources,
+    r: usize,
+) -> bool {
+    let demand = rank.task.device_bytes.max(1);
+    let cap = cudas[rank.dev_idx].device().with_memory(|m| m.capacity());
+    let quota = h.config.quota_for(r);
+    ctx.tracer()
+        .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
+            time: ctx.now(),
+            gvm: h.endpoints.gvm.clone(),
+            rank: r,
+            quota: quota.resolve(cap).unwrap_or(0),
+            demand,
+        });
+    quota.admits(demand, cap)
 }
 
 /// Charge `bytes` against rank `r`'s quota meter, the device's commitment
@@ -1798,30 +1702,18 @@ fn alloc_with_swap(
         // never blocks, so admission backpressure cannot deadlock against
         // a swap in progress.
         let lease = ml.pool.acquire_on(ctx.tracer(), vbytes, false, numa);
-        let (xfer, spans) = ml.plan(ctx.tracer(), r, vbytes);
-        for span in &spans {
-            let cmd = contexts[dev_idx]
-                .memcpy_d2h_async_at(
-                    ctx,
-                    stream,
-                    vptr.add(span.offset),
-                    lease.buffer(),
-                    span.offset,
-                    span.len,
-                )
-                .expect("swap-out D2H submit");
-            gv_mem::record_chunk(
-                ctx.tracer(),
-                cudas[dev_idx].device().tracer_ordinal(),
-                r,
-                xfer,
-                false,
-                *span,
-                vbytes,
-                lease.id(),
-                format!("cmd-{}", cmd.id),
-            );
+        let xfer = ml.plan(ctx.tracer(), r, vbytes, None);
+        SpanCopy {
+            cc: &contexts[dev_idx],
+            stream,
+            rank: r,
+            xfer,
+            h2d: false,
+            payload: vbytes,
+            lease: &lease,
+            dev: vptr,
         }
+        .submit(ctx, &ml.spans);
         contexts[dev_idx].stream_synchronize(ctx, stream);
         let _ = cudas[dev_idx].device().free(vptr);
         ctx.tracer()
@@ -1843,13 +1735,10 @@ fn alloc_with_swap(
 
 /// Evict `r`: reclaim its device memory, close and unlink its response
 /// queue, unlink its shared-memory segment, and drop it from the barrier —
-/// an implicit `RLS` performed by the GVM on the rank's behalf.
-///
-/// Reclaimed buffers are recycled (device allocation into the cache,
-/// staging leases back to the pool) only when the rank's stream is idle;
-/// with work still in flight the allocation is freed for real (as the
-/// seed did) and the leases are retired un-recycled, so no other rank can
-/// ever be handed a buffer an in-flight copy still references.
+/// an implicit `RLS` performed by the GVM on the rank's behalf. With work
+/// still in flight the device allocation is freed for real instead of
+/// parked in the cache, and the leases are not recycled
+/// ([`reclaim_leases`]).
 #[allow(clippy::too_many_arguments)]
 fn evict(
     ctx: &mut Ctx,
@@ -1877,34 +1766,7 @@ fn evict(
         }
     }
     quota_credit_all(ctx, h, cudas, rank, r);
-    if idle {
-        if let Some(l) = rank.pinned_in.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-        if let Some(l) = rank.pinned_in_next.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-        if let Some(l) = rank.pinned_out.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-    } else {
-        rank.pinned_in = None;
-        rank.pinned_in_next = None;
-        rank.pinned_out = None;
-    }
-    // The zero-copy boot lease: recycle when safe, retire (generation
-    // bump, no reuse) while its window may still be referenced by an
-    // in-flight copy. Either way the evicted client's descriptor is
-    // stale from here on.
-    if let Some(l) = rank.zc_lease.take() {
-        rank.zc_desc = None;
-        if idle {
-            ml.pool.recycle(ctx.tracer(), l);
-        } else {
-            ml.pool.retire(ctx.tracer(), l);
-        }
-    }
-    rank.round_tail = None;
+    reclaim_leases(ctx, ml, rank, idle);
     rank.resp.close(ctx);
     let _ = h.resp_mq.unlink(&h.endpoints.response_queue(r));
     let _ = h.shm.unlink(&h.endpoints.shm(r));
@@ -1917,6 +1779,34 @@ fn evict(
             rank: r,
         });
     h.stats.lock().evictions += 1;
+}
+
+/// Reclaim `rank`'s staging leases at `RLS` or eviction. With its stream
+/// `idle` they go back to the pool; with work still in flight they are
+/// dropped un-recycled, so no other rank can ever be handed a buffer an
+/// in-flight copy still references. The zero-copy lease's generation is
+/// bumped either way (recycled, or retired while copies are in flight), so
+/// any descriptor the client still holds goes stale.
+fn reclaim_leases(ctx: &Ctx, ml: &mut MemLayer, rank: &mut RankResources, idle: bool) {
+    let staged = [
+        rank.pinned_in.take(),
+        rank.pinned_in_next.take(),
+        rank.pinned_out.take(),
+    ];
+    for lease in staged.into_iter().flatten() {
+        if idle {
+            ml.pool.recycle(ctx.tracer(), lease);
+        }
+    }
+    if let Some(lease) = rank.zc_lease.take() {
+        rank.zc_desc = None;
+        if idle {
+            ml.pool.recycle(ctx.tracer(), lease);
+        } else {
+            ml.pool.retire(ctx.tracer(), lease);
+        }
+    }
+    rank.round_tail = None;
 }
 
 /// Number of ranks still being served.
@@ -1977,28 +1867,23 @@ fn flush_group(
     let cfg = &h.config;
     let t0 = ctx.now();
     let active = active_count(ranks);
-    // The coalescing planner only takes over multi-rank flushes on the
-    // overlapped (non-serial) schedule, and never in a swapping GVM —
-    // demand-swap can relocate lease windows mid-session, so fusing
-    // across it is forbidden (the gv-analyze coalesce checker enforces
-    // this over traces). Everything else goes through the unmodified
-    // per-rank path, which stays bit-identical to the pre-coalescing
-    // schedule.
-    let coalesce = ml.mem.coalesce.enabled && group.len() >= 2 && !cfg.serial_flush && !cfg.swap;
-    let dma_ops = if coalesce {
-        flush_group_coalesced(ctx, h, contexts, ranks, ml, group)
+    // One executor; only the split into waves differs. Coalescing submits
+    // the whole group as one wave. Otherwise every rank is its own wave —
+    // the paper's per-rank schedule — and the serial-flush ablation drains
+    // each rank's stream before the next. Coalescing never runs on the
+    // serial schedule or in a swapping GVM: demand-swap can relocate lease
+    // windows mid-session, so fusing across it is forbidden (the
+    // gv-analyze coalesce checker enforces this over traces).
+    if ml.mem.coalesce.enabled && !cfg.serial_flush && !cfg.swap {
+        flush_waves(ctx, h, contexts, ranks, ml, group);
     } else {
-        let mut dma_ops = 0u64;
         for &r in group {
-            let rank = &mut ranks[r];
-            let cc = &contexts[rank.dev_idx];
-            dma_ops += flush_rank(ctx, cc, h, r, rank, ml);
+            flush_waves(ctx, h, contexts, ranks, ml, std::slice::from_ref(&r));
             if cfg.serial_flush {
-                cc.stream_synchronize(ctx, rank.stream);
+                contexts[ranks[r].dev_idx].stream_synchronize(ctx, ranks[r].stream);
             }
         }
-        dma_ops
-    };
+    }
     // The queueing delay this dispatch imposed: how long the oldest
     // pending STR sat behind the policy's trigger.
     let gap = batch_start
@@ -2009,7 +1894,6 @@ fn flush_group(
         stats.flushes += 1;
         stats.submit_time += ctx.now().duration_since(t0);
         stats.idle_gap += gap;
-        stats.flush_dma_ops += dma_ops;
         if group.len() < active {
             stats.partial_flushes += 1;
         }
@@ -2033,99 +1917,73 @@ fn flush_group(
                 ranks: ml.ack.clone(),
             });
     }
-    if cfg.mem.zero_copy && !ml.ack.is_empty() {
-        // Descriptor-passing batches the flush ACKs: the mq latency is
-        // charged once per flush instead of once per rank, then every
-        // covered rank's ACK is enqueued prepaid (message faults still
-        // apply per queue). This is the "one mq round-trip per scheduler
-        // flush" half of the zero-copy overhead cut.
-        let first = ml.ack[0];
-        ranks[first].resp.charge_latency(ctx);
-        for &rr in &ml.ack {
-            let seq = ranks[rr].last_seq;
-            let rank = &mut ranks[rr];
-            rank.last_resp = Some(ResponseKind::Ack);
-            let _ = rank.resp.send_prepaid(ctx, Response::ack(seq));
-        }
-    } else {
-        for &rr in &ml.ack {
-            let seq = ranks[rr].last_seq;
-            let rank = &mut ranks[rr];
-            rank.last_resp = Some(ResponseKind::Ack);
-            let _ = rank.resp.send(ctx, Response::ack(seq));
-        }
+    // Descriptor-passing batches the flush ACKs: the mq latency is charged
+    // once per flush instead of once per rank, then every covered rank's
+    // ACK is enqueued prepaid (message faults still apply per queue). This
+    // is the "one mq round-trip per scheduler flush" half of the zero-copy
+    // overhead cut.
+    let batched = cfg.mem.zero_copy;
+    if batched && !ml.ack.is_empty() {
+        ranks[ml.ack[0]].resp.charge_latency(ctx);
+    }
+    for &rr in &ml.ack {
+        let rank = &mut ranks[rr];
+        let ack = Response::ack(rank.last_seq);
+        rank.last_resp = Some(ResponseKind::Ack);
+        let _ = if batched {
+            rank.resp.send_prepaid(ctx, ack)
+        } else {
+            rank.resp.send(ctx, ack)
+        };
     }
     str_waiting.retain(|w| !group.contains(w));
 }
 
-/// One device's kernel wave: device index, rank count, and the
-/// per-stream launch descriptors in flush order.
-type LaunchWave = (usize, usize, Vec<(gv_gpu::StreamId, gv_gpu::KernelDesc)>);
-
-/// One transfer a coalescing wave wants to move: the member's rank, its
-/// payload this iteration, and the chunk count the serial path would use.
-struct WaveXfer {
+/// One transfer a copy wave moves: the member's rank and stream, its
+/// payload this iteration and chunk count, the staging lease and device
+/// address at either end, and whether the coalescing planner may fuse it.
+struct WaveXfer<'a> {
     r: usize,
+    stream: gv_gpu::StreamId,
     bytes: u64,
     k: u64,
+    lease: &'a StagingLease,
+    dev: DevicePtr,
+    eligible: bool,
 }
 
-/// The staging lease a wave member's transfer sources from / drains into.
-fn wave_lease(rank: &RankResources, zc: bool, h2d: bool) -> &StagingLease {
-    if zc {
-        rank.zc_lease.as_ref().expect("zero-copy lease")
-    } else if h2d {
-        rank.pinned_in.as_ref().expect("SND leased pinned_in")
-    } else {
-        rank.pinned_out
-            .as_ref()
-            .expect("pinned_out leased at flush")
-    }
-}
-
-/// The coalescing flush: instead of enqueueing each rank's complete
-/// pipeline in turn, the group is submitted *wave-per-iteration* — all
-/// ranks' H2D transfers, then all their kernel launches, then all their
-/// D2H drains, per iteration. Per-stream command order is unchanged (each
-/// rank still sees H2D → kernels → D2H on its own in-order stream), so
-/// functional outputs are bitwise identical to the per-rank path; only
-/// the submission schedule differs:
+/// The flush executor: submit `wave`'s ranks iteration by iteration — all
+/// members' H2D copies, then all their kernel launches, then all their D2H
+/// drains. Each rank still sees H2D → kernels → D2H on its own in-order
+/// stream, so functional outputs do not depend on how a group is split
+/// into waves; only the submission schedule does. A one-rank wave submits
+/// that rank's complete pipeline, the paper's per-rank schedule. A
+/// multi-rank (coalescing) wave additionally:
 ///
-/// * Within a wave, runs of members whose staging leases are adjacent in
-///   host memory ([`CoalescePlan`]) go down as one fused DMA submission —
-///   the copy engine sweeps the combined range and every sub-op after the
-///   first elides the per-op setup latency. Each fused submission leaves
-///   an [`AnalysisRecord::CoalesceOp`](gv_sim::AnalysisRecord::CoalesceOp)
-///   manifest for the gv-analyze coalesce checker.
-/// * When a wave's kernels span ≥ 2 ranks on one device, the launches go
-///   down as a single batched submission charging the host launch
-///   overhead once instead of once per kernel.
-fn flush_group_coalesced(
+/// * submits runs of members whose staging leases are adjacent in host
+///   memory ([`CoalescePlan`]) as one fused DMA submission — the copy
+///   engine sweeps the combined range and every sub-op after the first
+///   elides the per-op setup latency. Each fused submission leaves an
+///   [`AnalysisRecord::CoalesceOp`](gv_sim::AnalysisRecord::CoalesceOp)
+///   manifest for the gv-analyze coalesce checker;
+/// * batches a device's kernel launches into one submission charging the
+///   host launch overhead once, when they span ≥ 2 ranks.
+fn flush_waves(
     ctx: &mut Ctx,
     h: &GvmHandle,
     contexts: &[gv_cuda::CudaContext],
     ranks: &mut [RankResources],
     ml: &mut MemLayer,
-    group: &[usize],
-) -> u64 {
-    let zc = ml.mem.zero_copy;
-    let ccfg = ml.mem.coalesce;
-    let quota_on = h.config.quotas.is_some();
-    let analysis = ctx.tracer().analysis_enabled();
-    let mut dma_ops = 0u64;
-    let mut fused_groups = 0u64;
-    let mut fused_subs = 0u64;
-    let mut launch_waves = 0u64;
-    let mut batched_launches = 0u64;
-
+    wave: &[usize],
+) {
     // Output leases are acquired upfront, place-chained, so the D2H waves
-    // see adjacent regions; pre-issued iteration-0 H2Ds are taken now.
-    let mut preissued = vec![false; group.len()];
+    // see adjacent regions. Zero-copy needs none: results drain straight
+    // into the rank's lease-backed segment.
     let mut chain: Option<u64> = None;
-    for (gi, &r) in group.iter().enumerate() {
+    for &r in wave {
         let rank = &mut ranks[r];
         let (bytes_out, functional) = (rank.task.bytes_out, rank.task.is_functional());
-        if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
+        if bytes_out > 0 && !ml.mem.zero_copy && rank.pinned_out.is_none() {
             let lease = ml
                 .pool
                 .acquire_at(ctx.tracer(), bytes_out, functional, rank.numa, chain);
@@ -2134,123 +1992,20 @@ fn flush_group_coalesced(
         } else if let Some(l) = rank.pinned_out.as_ref() {
             chain = Some(l.place_addr() + l.capacity());
         }
-        preissued[gi] = std::mem::take(&mut rank.h2d_preissued);
     }
-    let max_iters = group
+    let max_iters = wave
         .iter()
         .map(|&r| ranks[r].task.iterations)
         .max()
         .unwrap_or(0);
 
     for it in 0..max_iters {
-        // ---- H2D wave: per device, fuse adjacent-lease runs. ----
-        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
-        for (gi, &r) in group.iter().enumerate() {
-            let rank = &ranks[r];
-            if it >= rank.task.iterations || (it == 0 && preissued[gi]) {
-                continue;
-            }
-            let bytes = rank.task.bytes_in_for_round(rank.rounds_done);
-            if bytes == 0 {
-                continue;
-            }
-            let k = if ml.mem.pipeline.first_round_only {
-                1
-            } else {
-                ml.chooser.choose(bytes, &ml.mem.pipeline)
-            };
-            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
-                Some((_, v)) => v.push(WaveXfer { r, bytes, k }),
-                None => by_dev.push((rank.dev_idx, vec![WaveXfer { r, bytes, k }])),
-            }
-        }
-        for (dev_idx, xfers) in &by_dev {
-            let cc = &contexts[*dev_idx];
-            let members: Vec<CoalesceMember> = xfers
-                .iter()
-                .map(|x| {
-                    let rank = &ranks[x.r];
-                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
-                    CoalesceMember::from_lease(x.r, x.bytes, wave_lease(rank, zc, true), eligible)
-                })
-                .collect();
-            let plan = CoalescePlan::plan(&ccfg, &members);
-            for run in &plan.runs {
-                if run.len() >= 2 {
-                    let items: Vec<gv_cuda::BatchH2d<'_>> = run
-                        .iter()
-                        .map(|&i| {
-                            let rank = &ranks[xfers[i].r];
-                            gv_cuda::BatchH2d {
-                                stream: rank.stream,
-                                src: wave_lease(rank, zc, true).buffer(),
-                                src_offset: 0,
-                                dst: rank.gpu.as_ref().expect("flushed rank allocated").dev_base,
-                                bytes: xfers[i].bytes,
-                            }
-                        })
-                        .collect();
-                    let handles = cc
-                        .memcpy_h2d_async_batch(ctx, &items)
-                        .expect("GVM fused H2D submit");
-                    dma_ops += run.len() as u64;
-                    fused_groups += 1;
-                    fused_subs += run.len() as u64;
-                    if analysis {
-                        record_coalesce_op(ctx, h, cc, true, run, &members, &handles);
-                    }
-                } else {
-                    let i = run[0];
-                    let (r, bytes, k) = (xfers[i].r, xfers[i].bytes, xfers[i].k);
-                    let rank = &ranks[r];
-                    let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                    let lease = wave_lease(rank, zc, true);
-                    if k > 1 {
-                        let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                        for span in &ml.spans {
-                            let cmd = cc
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM H2D submit");
-                            let label = if analysis {
-                                format!("cmd-{}", cmd.id)
-                            } else {
-                                String::new()
-                            };
-                            gv_mem::record_chunk(
-                                ctx.tracer(),
-                                cc.cuda().device().tracer_ordinal(),
-                                r,
-                                xfer,
-                                true,
-                                *span,
-                                bytes,
-                                lease.id(),
-                                label,
-                            );
-                        }
-                        dma_ops += ml.spans.len() as u64;
-                        let mut stats = h.stats.lock();
-                        stats.chunked_transfers += 1;
-                        stats.chunks_submitted += ml.spans.len() as u64;
-                    } else {
-                        cc.memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes)
-                            .expect("GVM H2D submit");
-                        dma_ops += 1;
-                    }
-                }
-            }
-        }
+        copy_wave(ctx, h, contexts, ranks, ml, wave, it, true);
 
-        // ---- Kernel wave: batch launches when ≥ 2 ranks share a device. ----
-        let mut launches: Vec<LaunchWave> = Vec::new();
-        for &r in group {
+        // Kernel wave: per device, the rank count and the per-stream
+        // launches in flush order; batched when ≥ 2 ranks share a device.
+        let mut launches: Vec<(usize, usize, Vec<_>)> = Vec::new();
+        for &r in wave {
             let rank = &ranks[r];
             if it >= rank.task.iterations {
                 continue;
@@ -2273,8 +2028,9 @@ fn flush_group_coalesced(
             let cc = &contexts[dev_idx];
             if nranks >= 2 && !items.is_empty() {
                 cc.launch_batch(ctx, &items).expect("GVM batched launch");
-                launch_waves += 1;
-                batched_launches += items.len() as u64;
+                let mut stats = h.stats.lock();
+                stats.batched_launch_waves += 1;
+                stats.batched_launches += items.len() as u64;
             } else {
                 for (stream, k) in items {
                     cc.launch(ctx, stream, k).expect("GVM launch");
@@ -2282,120 +2038,167 @@ fn flush_group_coalesced(
             }
         }
 
-        // ---- D2H wave: staged drains every iteration, zero-copy only on
-        // the final one (one lease window serves both directions). ----
-        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
-        for &r in group {
-            let rank = &ranks[r];
-            if it >= rank.task.iterations || rank.task.bytes_out == 0 {
-                continue;
-            }
-            if zc && it + 1 != rank.task.iterations {
-                continue;
-            }
-            let bytes = rank.task.bytes_out;
-            let k = ml.chooser.choose(bytes, &ml.mem.pipeline);
-            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
-                Some((_, v)) => v.push(WaveXfer { r, bytes, k }),
-                None => by_dev.push((rank.dev_idx, vec![WaveXfer { r, bytes, k }])),
-            }
-        }
-        for (dev_idx, xfers) in &by_dev {
-            let cc = &contexts[*dev_idx];
-            let members: Vec<CoalesceMember> = xfers
-                .iter()
-                .map(|x| {
-                    let rank = &ranks[x.r];
-                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
-                    CoalesceMember::from_lease(x.r, x.bytes, wave_lease(rank, zc, false), eligible)
-                })
-                .collect();
-            let plan = CoalescePlan::plan(&ccfg, &members);
-            for run in &plan.runs {
-                if run.len() >= 2 {
-                    let items: Vec<gv_cuda::BatchD2h<'_>> = run
-                        .iter()
-                        .map(|&i| {
-                            let rank = &ranks[xfers[i].r];
-                            let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                            gv_cuda::BatchD2h {
-                                stream: rank.stream,
-                                src: gpu.dev_base.add(rank.task.d2h_offset),
-                                dst: wave_lease(rank, zc, false).buffer(),
-                                dst_offset: 0,
-                                bytes: xfers[i].bytes,
-                            }
-                        })
-                        .collect();
-                    let handles = cc
-                        .memcpy_d2h_async_batch(ctx, &items)
-                        .expect("GVM fused D2H submit");
-                    dma_ops += run.len() as u64;
-                    fused_groups += 1;
-                    fused_subs += run.len() as u64;
-                    if analysis {
-                        record_coalesce_op(ctx, h, cc, false, run, &members, &handles);
-                    }
-                } else {
-                    let i = run[0];
-                    let (r, bytes) = (xfers[i].r, xfers[i].bytes);
-                    let rank = &ranks[r];
-                    let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                    let lease = wave_lease(rank, zc, false);
-                    let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                    for span in &ml.spans {
-                        let cmd = cc
-                            .memcpy_d2h_async_at(
-                                ctx,
-                                rank.stream,
-                                gpu.dev_base.add(rank.task.d2h_offset + span.offset),
-                                lease.buffer(),
-                                span.offset,
-                                span.len,
-                            )
-                            .expect("GVM D2H submit");
-                        let label = if analysis {
-                            format!("cmd-{}", cmd.id)
-                        } else {
-                            String::new()
-                        };
-                        gv_mem::record_chunk(
-                            ctx.tracer(),
-                            cc.cuda().device().tracer_ordinal(),
-                            r,
-                            xfer,
-                            false,
-                            *span,
-                            bytes,
-                            lease.id(),
-                            label,
-                        );
-                    }
-                    dma_ops += ml.spans.len() as u64;
-                    if ml.spans.len() > 1 {
-                        let mut stats = h.stats.lock();
-                        stats.chunked_transfers += 1;
-                        stats.chunks_submitted += ml.spans.len() as u64;
-                    }
-                }
-            }
-        }
+        copy_wave(ctx, h, contexts, ranks, ml, wave, it, false);
     }
 
-    if ml.mem.pipeline.steady {
-        for &r in group {
-            let rank = &mut ranks[r];
+    for &r in wave {
+        let rank = &mut ranks[r];
+        // A pre-issued upload covers this round's iteration 0 only.
+        rank.h2d_preissued = false;
+        // Steady mode pins this round's completion point now, before any
+        // prefetched next-round H2D lands on the stream and moves its tail.
+        if ml.mem.pipeline.steady {
             rank.round_tail = contexts[rank.dev_idx].stream_tail(rank.stream);
         }
     }
-    {
-        let mut stats = h.stats.lock();
-        stats.fused_dma_groups += fused_groups;
-        stats.fused_dma_subs += fused_subs;
-        stats.batched_launch_waves += launch_waves;
-        stats.batched_launches += batched_launches;
+}
+
+/// Submit iteration `it`'s copies in one direction (`h2d`) for every
+/// `wave` member that has one. Per device, fusable runs ([`CoalescePlan`])
+/// go down as one batched DMA submission; any other member's payload is a
+/// planned [`SpanCopy`], except that a monolithic (k = 1) upload is one
+/// plain copy with no chunk records.
+#[allow(clippy::too_many_arguments)]
+fn copy_wave(
+    ctx: &mut Ctx,
+    h: &GvmHandle,
+    contexts: &[gv_cuda::CudaContext],
+    ranks: &[RankResources],
+    ml: &mut MemLayer,
+    wave: &[usize],
+    it: u32,
+    h2d: bool,
+) {
+    let zc = ml.mem.zero_copy;
+    let quota_on = h.config.quotas.is_some();
+    let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
+    for &r in wave {
+        let rank = &ranks[r];
+        let task = &rank.task;
+        if it >= task.iterations {
+            continue;
+        }
+        let (bytes, k) = if h2d {
+            // `SND` may have queued iteration 0's upload already. The
+            // first-round-only ablation re-uploads monolithically, as the
+            // pre-steady-state flush did.
+            if it == 0 && rank.h2d_preissued {
+                continue;
+            }
+            let k = ml.mem.pipeline.first_round_only.then_some(1);
+            (task.bytes_in_for_round(rank.rounds_done), k)
+        } else {
+            // Zero-copy drains results only on the final iteration: one
+            // lease window serves both directions, and an intermediate D2H
+            // would clobber the input region that later iterations'
+            // re-loads still read. D2H never mutates device state, so
+            // skipping the intermediate drains leaves the final output
+            // bit-identical.
+            if zc && it + 1 != task.iterations {
+                continue;
+            }
+            (task.bytes_out, None)
+        };
+        if bytes == 0 {
+            continue;
+        }
+        let k = k.unwrap_or_else(|| ml.chooser.choose(bytes, &ml.mem.pipeline));
+        let base = rank.gpu.as_ref().expect("flushed rank allocated").dev_base;
+        let (staged, dev) = if h2d {
+            (&rank.pinned_in, base)
+        } else {
+            (&rank.pinned_out, base.add(task.d2h_offset))
+        };
+        // Zero-copy moves both directions through the rank's lease-backed
+        // segment.
+        let lease = if zc { &rank.zc_lease } else { staged };
+        let x = WaveXfer {
+            r,
+            stream: rank.stream,
+            bytes,
+            k,
+            lease: lease.as_ref().expect("flushed rank leased its staging"),
+            dev,
+            eligible: k == 1 && (!quota_on || rank.charged > 0),
+        };
+        match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
+            Some((_, v)) => v.push(x),
+            None => by_dev.push((rank.dev_idx, vec![x])),
+        }
     }
-    dma_ops
+    for (dev_idx, xfers) in &by_dev {
+        let cc = &contexts[*dev_idx];
+        let members: Vec<CoalesceMember> = xfers
+            .iter()
+            .map(|x| CoalesceMember::from_lease(x.r, x.bytes, x.lease, x.eligible))
+            .collect();
+        for run in &CoalescePlan::plan(&ml.mem.coalesce, &members).runs {
+            if run.len() >= 2 {
+                let fused = run.iter().map(|&i| &xfers[i]);
+                let handles = if h2d {
+                    let items: Vec<_> = fused
+                        .map(|x| gv_cuda::BatchH2d {
+                            stream: x.stream,
+                            src: x.lease.buffer(),
+                            src_offset: 0,
+                            dst: x.dev,
+                            bytes: x.bytes,
+                        })
+                        .collect();
+                    cc.memcpy_h2d_async_batch(ctx, &items)
+                } else {
+                    let items: Vec<_> = fused
+                        .map(|x| gv_cuda::BatchD2h {
+                            stream: x.stream,
+                            src: x.dev,
+                            dst: x.lease.buffer(),
+                            dst_offset: 0,
+                            bytes: x.bytes,
+                        })
+                        .collect();
+                    cc.memcpy_d2h_async_batch(ctx, &items)
+                }
+                .expect("GVM fused DMA submit");
+                if ctx.tracer().analysis_enabled() {
+                    record_coalesce_op(ctx, h, cc, h2d, run, &members, &handles);
+                }
+                let mut stats = h.stats.lock();
+                stats.flush_dma_ops += run.len() as u64;
+                stats.fused_dma_groups += 1;
+                stats.fused_dma_subs += run.len() as u64;
+                continue;
+            }
+            let x = &xfers[run[0]];
+            if h2d && x.k == 1 {
+                cc.memcpy_h2d_async(ctx, x.stream, x.lease.buffer(), x.dev, x.bytes)
+                    .expect("GVM H2D submit");
+                h.stats.lock().flush_dma_ops += 1;
+                continue;
+            }
+            // Chunked re-loads release the shared H2D engine between
+            // spans, so other ranks' copies interleave instead of waiting
+            // out one monolithic transfer; chunked drains overlap the
+            // compute still queued on other ranks' streams.
+            let xfer = ml.plan(ctx.tracer(), x.r, x.bytes, Some(x.k));
+            let n = SpanCopy {
+                cc,
+                stream: x.stream,
+                rank: x.r,
+                xfer,
+                h2d,
+                payload: x.bytes,
+                lease: x.lease,
+                dev: x.dev,
+            }
+            .submit(ctx, &ml.spans);
+            let mut stats = h.stats.lock();
+            stats.flush_dma_ops += n;
+            if n > 1 {
+                stats.chunked_transfers += 1;
+                stats.chunks_submitted += n;
+            }
+        }
+    }
 }
 
 /// Emit the fused submission's [`CoalesceOp`] manifest: member ranks in
@@ -2435,161 +2238,56 @@ fn record_coalesce_op(
         });
 }
 
-/// Enqueue one rank's complete pipeline into its stream: per iteration,
-/// async H2D from pinned, the kernel sequence, async D2H into pinned.
-///
-/// When `SND` already pre-issued the input payload as chunked copies, the
-/// first iteration's H2D is skipped — it is already queued ahead of the
-/// kernels in the same in-order stream. Output payloads at or above the
-/// pipeline threshold are split into chunks so the D2H of early chunks
-/// overlaps the compute still queued behind them on other ranks' streams.
-fn flush_rank(
-    ctx: &mut Ctx,
-    cc: &gv_cuda::CudaContext,
-    h: &GvmHandle,
-    r: usize,
-    rank: &mut RankResources,
-    ml: &mut MemLayer,
-) -> u64 {
-    let mut dma_ops = 0u64;
-    let (bytes_in, bytes_out, d2h_offset, iterations, functional) = (
-        rank.task.bytes_in_for_round(rank.rounds_done),
-        rank.task.bytes_out,
-        rank.task.d2h_offset,
-        rank.task.iterations,
-        rank.task.is_functional(),
-    );
-    let zc = ml.mem.zero_copy;
-    let analysis = ctx.tracer().analysis_enabled();
-    // Zero-copy needs no pinned_out: results drain straight into the
-    // rank's lease-backed segment on the final iteration.
-    if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
-        rank.pinned_out = Some(
-            ml.pool
-                .acquire_on(ctx.tracer(), bytes_out, functional, rank.numa),
-        );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `merge` carries every field: a value whose fields are all distinct
+    /// and nonzero, merged into the default, comes back unchanged.
+    #[test]
+    fn merge_into_default_keeps_every_field() {
+        let mut ids = 1..;
+        let mut next = || ids.next().expect("unbounded");
+        let full = GvmStats {
+            snd_copies: next(),
+            rcv_copies: next(),
+            copy_time: SimDuration::from_nanos(next()),
+            flushes: next(),
+            submit_time: SimDuration::from_nanos(next()),
+            stp_waits: next(),
+            evictions: next(),
+            naks: next(),
+            dedup_hits: next(),
+            partial_flushes: next(),
+            queue_depth_max: next(),
+            queue_depth_sum: next(),
+            queue_depth_samples: next(),
+            idle_gap: SimDuration::from_nanos(next()),
+            pool_hits: next(),
+            pool_misses: next(),
+            pool_high_water_bytes: next(),
+            devcache_hits: next(),
+            devcache_misses: next(),
+            chunked_transfers: next(),
+            chunks_submitted: next(),
+            steady_prefetches: next(),
+            pool_released_buffers: next(),
+            pool_released_bytes: next(),
+            pool_over_cap: next(),
+            pool_backpressure_waits: next(),
+            quota_naks: next(),
+            swap_outs: next(),
+            swap_ins: next(),
+            swapped_out_bytes: next(),
+            swapped_in_bytes: next(),
+            fused_dma_groups: next(),
+            fused_dma_subs: next(),
+            batched_launch_waves: next(),
+            batched_launches: next(),
+            flush_dma_ops: next(),
+        };
+        let mut merged = GvmStats::default();
+        merged.merge(&full);
+        assert_eq!(format!("{merged:?}"), format!("{full:?}"));
     }
-    let gpu = rank
-        .gpu
-        .as_ref()
-        .expect("barriered rank has device allocation");
-    let preissued = std::mem::take(&mut rank.h2d_preissued);
-    for it in 0..iterations {
-        if bytes_in > 0 && !(it == 0 && preissued) {
-            // Re-loads source the zero-copy lease directly (the client's
-            // input is still untouched there until the final D2H) or the
-            // staged pinned_in lease.
-            let lease = if zc {
-                rank.zc_lease.as_ref().expect("zero-copy lease")
-            } else {
-                rank.pinned_in.as_ref().expect("SND leased pinned_in")
-            };
-            // The first-round-only ablation re-uploads monolithically, as
-            // the pre-steady-state flush did.
-            let k = if ml.mem.pipeline.first_round_only {
-                1
-            } else {
-                ml.chooser.choose(bytes_in, &ml.mem.pipeline)
-            };
-            if k > 1 {
-                // Later iterations re-load the input chunk-wise too:
-                // tiles release the shared H2D engine between spans, so
-                // other ranks' copies interleave instead of waiting out
-                // one monolithic transfer at the head of the engine queue.
-                let xfer = ml.plan_scratch(ctx.tracer(), r, bytes_in);
-                for span in &ml.spans {
-                    let cmd = cc
-                        .memcpy_h2d_async_at(
-                            ctx,
-                            rank.stream,
-                            lease.buffer(),
-                            span.offset,
-                            gpu.dev_base.add(span.offset),
-                            span.len,
-                        )
-                        .expect("GVM H2D submit");
-                    let label = if analysis {
-                        format!("cmd-{}", cmd.id)
-                    } else {
-                        String::new()
-                    };
-                    gv_mem::record_chunk(
-                        ctx.tracer(),
-                        cc.cuda().device().tracer_ordinal(),
-                        r,
-                        xfer,
-                        true,
-                        *span,
-                        bytes_in,
-                        lease.id(),
-                        label,
-                    );
-                }
-                dma_ops += ml.spans.len() as u64;
-                let mut stats = h.stats.lock();
-                stats.chunked_transfers += 1;
-                stats.chunks_submitted += ml.spans.len() as u64;
-            } else {
-                cc.memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes_in)
-                    .expect("GVM H2D submit");
-                dma_ops += 1;
-            }
-        }
-        for k in &gpu.kernels {
-            cc.launch(ctx, rank.stream, k.clone()).expect("GVM launch");
-        }
-        // Zero-copy drains results only on the final iteration: one lease
-        // window serves both directions, and an intermediate D2H would
-        // clobber the input region that later iterations' re-loads still
-        // read. D2H never mutates device state, so skipping the
-        // intermediate drains leaves the final output bit-identical.
-        if bytes_out > 0 && (!zc || it + 1 == iterations) {
-            let lease = if zc {
-                rank.zc_lease.as_ref().expect("zero-copy lease")
-            } else {
-                rank.pinned_out.as_ref().expect("pinned_out leased above")
-            };
-            let xfer = ml.plan_scratch(ctx.tracer(), r, bytes_out);
-            for span in &ml.spans {
-                let cmd = cc
-                    .memcpy_d2h_async_at(
-                        ctx,
-                        rank.stream,
-                        gpu.dev_base.add(d2h_offset + span.offset),
-                        lease.buffer(),
-                        span.offset,
-                        span.len,
-                    )
-                    .expect("GVM D2H submit");
-                let label = if analysis {
-                    format!("cmd-{}", cmd.id)
-                } else {
-                    String::new()
-                };
-                gv_mem::record_chunk(
-                    ctx.tracer(),
-                    cc.cuda().device().tracer_ordinal(),
-                    r,
-                    xfer,
-                    false,
-                    *span,
-                    bytes_out,
-                    lease.id(),
-                    label,
-                );
-            }
-            dma_ops += ml.spans.len() as u64;
-            if ml.spans.len() > 1 {
-                let mut stats = h.stats.lock();
-                stats.chunked_transfers += 1;
-                stats.chunks_submitted += ml.spans.len() as u64;
-            }
-        }
-    }
-    // Steady mode pins this round's completion point now, before any
-    // prefetched next-round H2D lands on the stream and moves its tail.
-    if ml.mem.pipeline.steady {
-        rank.round_tail = cc.stream_tail(rank.stream);
-    }
-    dma_ops
 }
