@@ -233,34 +233,54 @@ impl SharedMem {
     /// Read `len` bytes at `offset`, charging memcpy time. Untouched
     /// regions read as zeroes.
     pub fn read(&self, ctx: &mut Ctx, offset: u64, len: u64) -> Result<Vec<u8>, ShmError> {
+        let mut out = Vec::with_capacity(len as usize);
+        self.read_into(ctx, offset, len, Some(&mut out))?;
+        Ok(out)
+    }
+
+    /// [`read`](Self::read) that appends the bytes to `out`, or only
+    /// charges for the copy when `out` is `None` (timing-only payloads):
+    /// the same bounds check, memcpy time and access record either way.
+    pub fn read_into(
+        &self,
+        ctx: &mut Ctx,
+        offset: u64,
+        len: u64,
+        out: Option<&mut Vec<u8>>,
+    ) -> Result<(), ShmError> {
         self.check(offset, len)?;
         ctx.hold(self.node.memcpy_time(len));
         self.record_access(ctx, offset, len, false);
-        self.snapshot(offset, len)
+        if let Some(out) = out {
+            self.load(offset, len, out);
+        }
+        Ok(())
     }
 
-    /// Untimed load shared by `read`/`peek`: backing if present, else the
-    /// lazily materialized private store.
-    fn snapshot(&self, offset: u64, len: u64) -> Result<Vec<u8>, ShmError> {
-        let mut seg = self.seg.lock();
+    /// Untimed load shared by `read_into`/`peek`: appends `len` bytes at
+    /// `offset` from the backing if present, else from the private store;
+    /// a segment never written reads as zeroes without being materialized.
+    fn load(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + len as usize, 0);
+        let seg = self.seg.lock();
         if let Some(backing) = seg.backing.clone() {
             drop(seg);
-            let mut out = vec![0u8; len as usize];
             if backing.is_functional() {
-                backing.load(offset, &mut out);
+                backing.load(offset, &mut out[start..]);
             }
-            return Ok(out);
+        } else if let Some(store) = &seg.data {
+            out[start..].copy_from_slice(&store[offset as usize..(offset + len) as usize]);
         }
-        let size = seg.size as usize;
-        let store = seg.data.get_or_insert_with(|| vec![0u8; size]);
-        Ok(store[offset as usize..(offset + len) as usize].to_vec())
     }
 
     /// Zero-cost snapshot of the raw contents (verification plumbing, not a
     /// timed operation).
     pub fn peek(&self, offset: u64, len: u64) -> Result<Vec<u8>, ShmError> {
         self.check(offset, len)?;
-        self.snapshot(offset, len)
+        let mut out = Vec::with_capacity(len as usize);
+        self.load(offset, len, &mut out);
+        Ok(out)
     }
 
     /// Zero-cost raw write (seeding test fixtures).
@@ -463,6 +483,55 @@ mod tests {
             assert_eq!(back, data);
             let t = ctx.now().as_millis_f64();
             assert!((t - 2.002).abs() < 1e-6, "t = {t}");
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn read_into_without_a_buffer_charges_and_records_like_read() {
+        /// Two reads of an untouched segment, through `read` or through
+        /// `read_into(.., None)`: end time, analysis records, bytes read.
+        fn run(discard: bool) -> (gv_sim::SimTime, Vec<gv_sim::AnalysisRecord>, Vec<u8>) {
+            let mut sim = Simulation::new();
+            sim.tracer().set_analysis(true);
+            let tracer = sim.tracer();
+            let seg = registry().create("/r", 4096).unwrap();
+            let probe = seg.clone();
+            let out = Arc::new(Mutex::new(Vec::new()));
+            let o = out.clone();
+            sim.spawn("p", move |ctx| {
+                for (offset, len) in [(0, 1024), (1024, 3072)] {
+                    if discard {
+                        seg.read_into(ctx, offset, len, None).unwrap();
+                    } else {
+                        o.lock().extend(seg.read(ctx, offset, len).unwrap());
+                    }
+                }
+            });
+            let end = sim.run().unwrap().end_time;
+            // Reading never materializes the untouched store.
+            assert!(probe.seg.lock().data.is_none());
+            let bytes = std::mem::take(&mut *out.lock());
+            (end, tracer.analysis_snapshot(), bytes)
+        }
+        let (end_read, records_read, bytes) = run(false);
+        let (end_none, records_none, _) = run(true);
+        assert!(end_read > gv_sim::SimTime::ZERO);
+        assert_eq!(end_none, end_read);
+        assert!(!records_read.is_empty());
+        assert_eq!(records_none, records_read);
+        assert_eq!(bytes, vec![0u8; 4096]);
+    }
+
+    #[test]
+    fn read_into_appends_to_the_buffer() {
+        let mut sim = Simulation::new();
+        let seg = registry().create("/a", 16).unwrap();
+        seg.poke(4, &[7, 8, 9]).unwrap();
+        sim.spawn("p", move |ctx| {
+            let mut out = vec![1];
+            seg.read_into(ctx, 3, 4, Some(&mut out)).unwrap();
+            assert_eq!(out, vec![1, 0, 7, 8, 9]);
         });
         sim.run().unwrap();
     }

@@ -1,33 +1,31 @@
 //! The discrete-event engine.
 //!
-//! A [`Simulation`] owns a set of coroutine-style *processes*, each backed by
-//! an OS thread. Exactly one thread is ever runnable at a time, and control
-//! moves between them by *baton passing*: a process runs until it performs a
-//! *yielding* operation (`hold`, `park`, `park_timeout`, or returning), then
-//! takes the next scheduling step itself, under the state lock. If the step
-//! picks another process, the yielder hands it the baton (its wake reason)
-//! directly and blocks; if it picks the yielder again, the yielder simply
-//! carries on, with no thread switch at all. [`Simulation::run_until`] only
-//! hands out the first baton and then sleeps until some thread posts the
-//! run's outcome. Because scheduling decisions are made from a FIFO run
-//! queue and a `(time, sequence)`-ordered timer heap, runs are fully
-//! deterministic for a fixed program.
+//! A [`Simulation`] owns a set of *processes*, each a stackful coroutine
+//! (`coro` module) that runs on the thread calling
+//! [`Simulation::run_until`]. That call is a plain loop: it switches into
+//! the process the last scheduling step chose, and the process runs until it
+//! performs a *yielding* operation (`hold`, `park`, `park_timeout`, or
+//! returning). The yield stores its `YieldOp` in the shared state and
+//! switches back; the loop applies it and takes the next step. A step that
+//! picks the yielder again resumes it at once: two register switches, no
+//! syscall. Because scheduling decisions are made from a FIFO run queue and
+//! a `(time, sequence)`-ordered timer heap, runs are fully deterministic for
+//! a fixed program.
 //!
 //! Non-yielding operations (`unpark`, `spawn`, channel pushes, …) mutate the
-//! shared kernel state directly under a mutex; this is race-free because only
-//! the single running process (or the engine, before the first hand-off and
-//! after the outcome) ever touches it.
+//! shared kernel state directly under a mutex; only one process (or the
+//! loop between two of them) runs at any moment, so the lock is never
+//! contended.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::clock::VClock;
+use crate::coro::Coroutine;
 use crate::oracle::{Candidate, DecisionKind, OracleHandle};
 use crate::process::Ctx;
 use crate::time::{SimDuration, SimTime};
@@ -236,7 +234,7 @@ pub struct Summary {
 pub(crate) enum ProcState {
     /// In the run queue (wake reason stored alongside).
     Ready,
-    /// Currently executing on its thread.
+    /// Currently executing.
     Running,
     /// Blocked awaiting an unpark or armed timer.
     Parked,
@@ -253,8 +251,9 @@ pub(crate) struct Slot {
     pub(crate) token: bool,
     /// Wake generation; bumped on every wake so stale timers are discarded.
     pub(crate) gen: u64,
-    pub(crate) resume_tx: Option<Sender<Baton>>,
-    pub(crate) join: Option<JoinHandle<()>>,
+    /// The process's coroutine: `None` while it runs (the engine loop
+    /// holds it) and once it has returned.
+    coro: Option<Coroutine>,
     /// Vector clock for happens-before analysis (maintained only while the
     /// tracer's analysis flag is on; empty otherwise).
     pub(crate) clock: VClock,
@@ -294,8 +293,12 @@ pub(crate) struct State {
     oracle: Option<OracleHandle>,
     /// The `run_until` horizon.
     limit: SimTime,
-    /// How the run ended, posted by whichever thread took the final step.
-    outcome: Option<Result<bool, SimError>>,
+    /// The yield of the process that just switched back to the engine
+    /// (`Exit` when it returned).
+    pub(crate) yielded: Option<YieldOp>,
+    /// What the engine hands the process it resumes: its wake reason, or
+    /// `None` to make it unwind for teardown.
+    pub(crate) resume: Option<WakeReason>,
 }
 
 /// What one scheduling step decided.
@@ -361,14 +364,6 @@ impl State {
     }
 }
 
-/// What a process's resume channel carries: the right to run.
-pub(crate) struct Baton {
-    pub(crate) reason: WakeReason,
-    /// Thread of the process that exited while handing this baton over.
-    /// The receiver joins it before running, as the exit's last step.
-    pub(crate) reap: Option<JoinHandle<()>>,
-}
-
 pub(crate) enum YieldOp {
     Hold(SimDuration),
     Park,
@@ -379,35 +374,7 @@ pub(crate) enum YieldOp {
 /// Shared between the engine, every process `Ctx`, and all sync primitives.
 pub struct KernelShared {
     pub(crate) state: Mutex<State>,
-    /// Wakes the engine thread once `State::outcome` is posted.
-    done_tx: Sender<()>,
     pub(crate) tracer: Tracer,
-}
-
-/// Posts a panic outcome if none is posted yet, then wakes the engine
-/// thread, when dropped. Every scheduling step taken on a process thread
-/// holds one and forgets it only when handing the baton on, so both a
-/// terminal step and a panic inside the step (say, in an oracle) end
-/// `run_until`'s wait.
-struct EngineWaker<'a> {
-    shared: &'a KernelShared,
-    /// The yielding process, blamed when the step itself unwinds.
-    pid: Pid,
-}
-
-impl Drop for EngineWaker<'_> {
-    fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
-        if st.outcome.is_none() {
-            let name = st.slots[self.pid.index()].name.clone();
-            st.outcome = Some(Err(SimError::ProcessPanicked {
-                name,
-                message: "panicked in the scheduling step".to_string(),
-            }));
-        }
-        drop(st);
-        let _ = self.shared.done_tx.send(());
-    }
 }
 
 impl KernelShared {
@@ -416,46 +383,48 @@ impl KernelShared {
         self.state.lock().now
     }
 
-    /// Apply `pid`'s yield, then take the next scheduling step on this
-    /// thread. Returns the wake reason when the step resumes `pid` itself;
-    /// otherwise hands the baton to the chosen process, or posts the run's
-    /// outcome, and returns `None` (the caller then blocks or exits).
-    pub(crate) fn switch(&self, pid: Pid, op: YieldOp) -> Option<WakeReason> {
-        // Declared before the lock guard, so it drops (and relocks) after it.
-        let waker = EngineWaker { shared: self, pid };
-        let mut st = self.state.lock();
-        if st.outcome.is_some() {
-            // The run already ended (a failed step unwound through this
-            // process and it caught the unwind): schedule nothing more.
-            return None;
-        }
-        let exiting = matches!(op, YieldOp::Exit { .. });
-        let step = match st.handle_yield(pid, op) {
-            Some(err) => Step::Done(Err(err)),
-            None => st.step(&self.tracer),
+    /// Switch into `pid`, handing it `resume`, and run it until it switches
+    /// back. Returns its yield: `Exit` when it returned, `None` when it
+    /// unwound for teardown. Frees its stack once it has returned.
+    fn resume(&self, pid: Pid, resume: Option<WakeReason>) -> Option<YieldOp> {
+        let mut coro = {
+            let mut st = self.state.lock();
+            st.resume = resume;
+            st.slots[pid.index()]
+                .coro
+                .take()
+                .expect("resuming a process with no coroutine")
         };
-        match step {
-            Step::Resume(next, reason) => {
-                std::mem::forget(waker);
-                if next == pid {
-                    return Some(reason);
-                }
-                let tx = st.resume_tx(next);
-                let reap = if exiting {
-                    st.slots[pid.index()].join.take()
-                } else {
-                    None
-                };
-                drop(st);
-                tx.send(Baton { reason, reap })
-                    .expect("process thread hung up");
-                None
-            }
-            Step::Done(outcome) => {
-                st.outcome = Some(outcome);
-                None
-            }
+        let suspended = coro.resume();
+        let mut st = self.state.lock();
+        let op = st.yielded.take();
+        if suspended {
+            st.slots[pid.index()].coro = Some(coro);
+        } else {
+            // Unmap the finished stack outside the lock.
+            drop(st);
+            drop(coro);
         }
+        op
+    }
+
+    /// Apply `pid`'s yield and take the next scheduling step. A panic in
+    /// either (say, in an oracle) ends the run, blaming the yielder.
+    fn after_yield(&self, pid: Pid, op: YieldOp) -> Step {
+        let step = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut st = self.state.lock();
+            match st.handle_yield(pid, op) {
+                Some(err) => Step::Done(Err(err)),
+                None => st.step(&self.tracer),
+            }
+        }));
+        step.unwrap_or_else(|_| {
+            let name = self.state.lock().slots[pid.index()].name.clone();
+            Step::Done(Err(SimError::ProcessPanicked {
+                name,
+                message: "panicked in the scheduling step".to_string(),
+            }))
+        })
     }
 
     pub(crate) fn spawn_process<F>(
@@ -468,10 +437,22 @@ impl KernelShared {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let (resume_tx, resume_rx) = channel::bounded::<Baton>(1);
+        install_teardown_panic_filter();
         let analysis = self.tracer.analysis_enabled();
+        let shared = Arc::clone(self);
         let mut state = self.state.lock();
         let pid = Pid(state.slots.len() as u32);
+        let coro = Coroutine::new(move |suspender| {
+            let mut ctx = Ctx::new(shared, pid, suspender);
+            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
+            let panic_message = match result {
+                Ok(()) => None,
+                // Orderly teardown: vanish without reporting.
+                Err(payload) if payload.is::<Terminated>() => return,
+                Err(payload) => Some(panic_message(&*payload)),
+            };
+            ctx.shared().state.lock().yielded = Some(YieldOp::Exit { panic_message });
+        });
         // Spawn is a synchronization edge: the child inherits the parent's
         // (ticked) clock, so parent work before the spawn happens-before
         // everything the child does.
@@ -488,8 +469,7 @@ impl KernelShared {
             state: ProcState::Parked,
             token: false,
             gen: 0,
-            resume_tx: Some(resume_tx),
-            join: None,
+            coro: Some(coro),
             clock,
             wait: None,
         });
@@ -501,43 +481,11 @@ impl KernelShared {
                 state.arm_timer(pid, t);
             }
         }
-        drop(state);
-
-        install_teardown_panic_filter();
-        let shared = Arc::clone(self);
-        let thread_name = format!("sim:{name}");
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let mut ctx = Ctx::new(shared, pid, resume_rx);
-                // Wait for the engine's first resume; if the simulation is
-                // torn down before we ever run, just exit.
-                if ctx.wait_resume().is_err() {
-                    return;
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    (f)(&mut ctx);
-                }));
-                let panic_message = match result {
-                    Ok(()) => None,
-                    Err(payload) => {
-                        if payload.downcast_ref::<Terminated>().is_some() {
-                            // Orderly teardown: vanish without reporting.
-                            return;
-                        }
-                        Some(panic_message(&*payload))
-                    }
-                };
-                ctx.shared().switch(pid, YieldOp::Exit { panic_message });
-            })
-            .expect("failed to spawn simulation process thread");
-
-        self.state.lock().slots[pid.index()].join = Some(handle);
         pid
     }
 }
 
-/// Sentinel panic payload used to unwind process threads during teardown.
+/// Sentinel panic payload used to unwind suspended processes at teardown.
 pub(crate) struct Terminated;
 
 /// Keep the orderly [`Terminated`] unwind out of stderr: the default panic
@@ -569,7 +517,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A discrete-event simulation: spawn processes, then [`run`](Self::run).
 pub struct Simulation {
     shared: Arc<KernelShared>,
-    done_rx: Receiver<()>,
 }
 
 impl Default for Simulation {
@@ -581,7 +528,6 @@ impl Default for Simulation {
 impl Simulation {
     /// Create an empty simulation at `t = 0`.
     pub fn new() -> Self {
-        let (done_tx, done_rx) = channel::unbounded();
         let shared = Arc::new(KernelShared {
             state: Mutex::new(State {
                 now: SimTime::ZERO,
@@ -593,12 +539,12 @@ impl Simulation {
                 events: 0,
                 oracle: None,
                 limit: SimTime::MAX,
-                outcome: None,
+                yielded: None,
+                resume: None,
             }),
-            done_tx,
             tracer: Tracer::new(),
         });
-        Simulation { shared, done_rx }
+        Simulation { shared }
     }
 
     /// Install a scheduling oracle. The oracle is consulted whenever the
@@ -646,33 +592,27 @@ impl Simulation {
 
     /// Run until all processes finish or simulated time would pass `limit`.
     ///
-    /// The engine thread takes the first scheduling step and hands the
-    /// baton to the chosen process; from then on the processes schedule
-    /// each other, and the engine sleeps until one of them posts the
-    /// outcome (completion, horizon, deadlock or panic).
-    pub fn run_until(mut self, limit: SimTime) -> Result<Summary, SimError> {
-        let first = {
+    /// The processes run as coroutines on the calling thread, one at a
+    /// time: this loop switches into the process each scheduling step
+    /// picks, and takes the next step when it switches back, until the run
+    /// ends (completion, horizon, deadlock or panic). A panic in the very
+    /// first step, before any process has run, propagates to the caller.
+    pub fn run_until(self, limit: SimTime) -> Result<Summary, SimError> {
+        let mut step = {
             let mut st = self.shared.state.lock();
             st.limit = limit;
             st.step(&self.shared.tracer)
         };
-        let result = match first {
-            Step::Done(outcome) => outcome,
-            Step::Resume(pid, reason) => {
-                let tx = self.shared.state.lock().resume_tx(pid);
-                tx.send(Baton { reason, reap: None })
-                    .expect("process thread hung up");
-                self.done_rx
-                    .recv()
-                    .expect("kernel dropped its done channel");
-                // Leave the outcome posted: it keeps a process that is
-                // still unwinding from a failed step from scheduling.
-                self.shared
-                    .state
-                    .lock()
-                    .outcome
-                    .clone()
-                    .expect("engine woken without an outcome")
+        let result = loop {
+            match step {
+                Step::Done(outcome) => break outcome,
+                Step::Resume(pid, reason) => {
+                    let op = self
+                        .shared
+                        .resume(pid, Some(reason))
+                        .expect("a running process yields or exits");
+                    step = self.shared.after_yield(pid, op);
+                }
             }
         };
 
@@ -703,45 +643,46 @@ impl Simulation {
         })
     }
 
-    /// Tear down any processes still alive (horizon stops, deadlocks,
-    /// panics, unrun simulations): dropping their resume senders makes
-    /// their next blocking receive unwind with the [`Terminated`] sentinel.
-    /// Also joins the thread of a process whose exit ended the run, which
-    /// had no one to hand its baton (and its thread) to.
-    fn terminate_all(&mut self) {
-        let handles: Vec<JoinHandle<()>> = {
+    /// Tear down every process still alive (horizon stops, deadlocks,
+    /// panics, unrun simulations). A process that never ran just drops its
+    /// closure. A suspended one is resumed with no wake reason, which
+    /// unwinds it with the [`Terminated`] sentinel so it drops everything
+    /// it holds; it is resumed again until it returns.
+    fn terminate_all(&self) {
+        let mut i = 0;
+        loop {
             let mut st = self.shared.state.lock();
-            st.slots
-                .iter_mut()
-                .filter_map(|s| {
-                    s.resume_tx = None;
-                    s.state = ProcState::Finished;
-                    s.join.take()
-                })
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
+            let Some(slot) = st.slots.get_mut(i) else {
+                break;
+            };
+            slot.state = ProcState::Finished;
+            match &slot.coro {
+                Some(coro) if coro.started() => {
+                    drop(st);
+                    // A yield during the unwind is ignored.
+                    let _ = self.shared.resume(Pid(i as u32), None);
+                }
+                Some(_) => {
+                    let unstarted = slot.coro.take();
+                    drop(st);
+                    drop(unstarted);
+                    i += 1;
+                }
+                None => i += 1,
+            }
         }
     }
 }
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // A no-op after `run_until`; reaps the threads of a simulation that
-        // never ran or whose first step panicked.
+        // A no-op after `run_until`; drops the closures of a simulation
+        // that never ran or whose first step panicked.
         self.terminate_all();
     }
 }
 
 impl State {
-    fn resume_tx(&self, pid: Pid) -> Sender<Baton> {
-        self.slots[pid.index()]
-            .resume_tx
-            .clone()
-            .expect("resuming a terminated process")
-    }
-
     /// One scheduling step: pop the next process to resume from the run
     /// queue, advancing the clock to the next timer whenever it is empty.
     fn step(&mut self, tracer: &Tracer) -> Step {
@@ -804,7 +745,6 @@ impl State {
             YieldOp::Exit { panic_message } => {
                 let slot = &mut self.slots[pid.index()];
                 slot.state = ProcState::Finished;
-                slot.resume_tx = None;
                 let name = slot.name.clone();
                 self.live -= 1;
                 if let Some(message) = panic_message {
@@ -1380,7 +1320,7 @@ mod tests {
         assert_eq!(s.end_time.as_nanos(), 5_500);
         // Two spawn resumes plus two timer wakes per elapsed microsecond.
         assert_eq!(s.events_processed, 12);
-        // Every process thread unwound and dropped its captures.
+        // Every process unwound and dropped its captures.
         assert_eq!(Arc::strong_count(&token), 1);
     }
 
@@ -1489,8 +1429,8 @@ mod tests {
     fn panicking_oracle_at_an_exit_is_reported() {
         use crate::oracle::SchedOracle;
         // The only choice comes when the parent returns with both children
-        // ready, so the step runs on the exiting thread, outside the
-        // process's own panic catch.
+        // ready, so the step follows an exit, outside the process's own
+        // panic catch.
         let mut sim = Simulation::new();
         sim.set_oracle(PanickingOracle { at: 0, seen: 0 }.into_handle());
         sim.spawn("parent", |ctx| {
@@ -1511,13 +1451,13 @@ mod tests {
     fn panicking_oracle_never_hangs_the_run() {
         use crate::oracle::SchedOracle;
         // Five decisions (see `recording_oracle_log_is_pinned`): the first
-        // is taken on the engine thread, the rest on process threads.
+        // is taken before any process runs, the rest after a yield.
         for at in 0..5 {
             let mut sim = Simulation::new();
             sim.set_oracle(PanickingOracle { at, seen: 0 }.into_handle());
             three_process_program(&mut sim);
             match run_with_watchdog(sim) {
-                Err(_) => assert_eq!(at, 0, "only the engine thread's step panics out"),
+                Err(_) => assert_eq!(at, 0, "only the first step panics out"),
                 Ok(Err(SimError::ProcessPanicked { .. })) => assert_ne!(at, 0),
                 Ok(other) => panic!("decision {at}: expected a panic, got {other:?}"),
             }
@@ -1548,5 +1488,89 @@ mod tests {
         assert_eq!(s.processes_spawned, 5);
         assert_eq!(s.end_time.as_nanos(), 2_000_000);
         assert_eq!(s.events_processed, 161);
+    }
+
+    /// Reset this thread's stack high-water mark; returns the live count.
+    fn reset_stack_peak() -> usize {
+        crate::coro::LIVE_STACKS.with(|c| {
+            let (live, _) = c.get();
+            c.set((live, live));
+            live
+        })
+    }
+
+    #[test]
+    fn a_process_can_use_a_mebibyte_of_stack() {
+        /// Recurse until the frames below `top` span 1 MiB, then hold
+        /// with all of them live. Returns the bytes in use at the bottom.
+        fn dive(ctx: &mut Ctx, top: usize) -> usize {
+            let pad = std::hint::black_box([0u8; 1024]);
+            let used = top - pad.as_ptr() as usize;
+            let deepest = if used >= 1 << 20 {
+                ctx.hold(SimDuration::from_nanos(1));
+                used
+            } else {
+                dive(ctx, top)
+            };
+            std::hint::black_box(&pad);
+            deepest
+        }
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let deepest = Arc::new(AtomicUsize::new(0));
+        let out = deepest.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("deep", move |ctx| {
+            let top = std::hint::black_box(0u8);
+            out.store(dive(ctx, &top as *const u8 as usize), Ordering::SeqCst);
+        });
+        let s = sim.run().unwrap();
+        assert!(s.completed);
+        assert!(deepest.load(Ordering::SeqCst) >= 1 << 20);
+    }
+
+    #[test]
+    fn ten_thousand_sequential_processes_keep_two_stacks_live() {
+        let live = reset_stack_peak();
+        let mut sim = Simulation::new();
+        sim.spawn("spawner", |ctx| {
+            for _ in 0..10_000 {
+                ctx.spawn("short", |c| c.hold(SimDuration::from_nanos(1)));
+                ctx.hold(SimDuration::from_nanos(2));
+            }
+        });
+        let s = sim.run().unwrap();
+        assert!(s.completed);
+        assert_eq!(s.processes_spawned, 10_001);
+        let (after, peak) = crate::coro::LIVE_STACKS.with(|c| c.get());
+        assert_eq!(after, live, "every stack is unmapped by the end");
+        // The spawner's stack and the one child alive at a time.
+        assert_eq!(peak - live, 2);
+    }
+
+    #[test]
+    fn horizon_stop_drops_the_captures_of_a_thousand_parked_processes() {
+        let live = reset_stack_peak();
+        let token = Arc::new(());
+        let mut sim = Simulation::new();
+        for i in 0..1000 {
+            let token = token.clone();
+            sim.spawn(&format!("parked-{i}"), move |ctx| {
+                let _token = token;
+                ctx.park();
+            });
+        }
+        // Past the horizon: never started, so it never maps a stack.
+        let t = token.clone();
+        sim.spawn_at(SimTime::from_nanos(1_000_000), "late", move |_| drop(t));
+        sim.spawn("ticker", |ctx| loop {
+            ctx.hold(SimDuration::from_micros(1));
+        });
+        let s = sim.run_until(SimTime::from_nanos(5_500)).unwrap();
+        assert!(!s.completed);
+        assert_eq!(s.end_time.as_nanos(), 5_500);
+        assert_eq!(Arc::strong_count(&token), 1);
+        let (after, peak) = crate::coro::LIVE_STACKS.with(|c| c.get());
+        assert_eq!(after, live);
+        assert_eq!(peak - live, 1001);
     }
 }

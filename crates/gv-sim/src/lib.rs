@@ -2,10 +2,10 @@
 //!
 //! The execution substrate for the GPU-virtualization reproduction: a
 //! SimPy-style process-oriented discrete-event simulator. Simulation
-//! *processes* are ordinary Rust closures running on dedicated threads, but
-//! exactly one runs at a time, passing control directly to the next, so
-//! execution is deterministic and all shared state is effectively
-//! single-threaded.
+//! *processes* are ordinary Rust closures, each running as a stackful
+//! coroutine on the thread that runs the simulation. Exactly one runs at a
+//! time and control moves between them only at yields, so execution is
+//! deterministic and all shared state is effectively single-threaded.
 //!
 //! ```
 //! use gv_sim::{Simulation, SimDuration};
@@ -23,6 +23,7 @@
 //! * [`time`] — `SimTime` / `SimDuration` (nanosecond clock)
 //! * [`kernel`] — the engine ([`Simulation`]) and process lifecycle
 //! * [`process`] — the per-process handle ([`Ctx`])
+//! * `coro` — the stackful coroutines processes run on (x86_64 Linux only)
 //! * [`sync`] — semaphores, condition queues, barriers, gates
 //! * [`channel`] — blocking MPMC channels
 //! * [`resource`] — FIFO servers with utilization accounting
@@ -34,6 +35,7 @@
 
 pub mod channel;
 pub mod clock;
+mod coro;
 pub mod kernel;
 pub mod oracle;
 pub mod process;

@@ -1,20 +1,17 @@
 //! The process-side handle, [`Ctx`].
 //!
 //! A `Ctx` is handed to every process closure. All blocking operations
-//! (`hold`, `park`, `park_timeout`) yield: the process takes the next
-//! scheduling step itself and passes the baton to whichever process runs
-//! next, or keeps it when that is itself. All other operations mutate shared
+//! (`hold`, `park`, `park_timeout`) yield: the process records what it is
+//! waiting for and switches back to the engine loop, which resumes it once
+//! a scheduling step picks it again. All other operations mutate shared
 //! kernel state directly and return without yielding, so a process observes
 //! no interleaving between two consecutive non-yielding calls.
 
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
-
 use crate::clock::VClock;
-use crate::kernel::{
-    Baton, KernelShared, Pid, Terminated, WaitCause, WaitKind, WakeReason, YieldOp,
-};
+use crate::coro::Suspender;
+use crate::kernel::{KernelShared, Pid, Terminated, WaitCause, WaitKind, WakeReason, YieldOp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -23,15 +20,15 @@ use crate::trace::Tracer;
 pub struct Ctx {
     shared: Arc<KernelShared>,
     pid: Pid,
-    resume_rx: Receiver<Baton>,
+    suspender: Suspender,
 }
 
 impl Ctx {
-    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid, resume_rx: Receiver<Baton>) -> Self {
+    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid, suspender: Suspender) -> Self {
         Ctx {
             shared,
             pid,
-            resume_rx,
+            suspender,
         }
     }
 
@@ -39,27 +36,17 @@ impl Ctx {
         &self.shared
     }
 
-    /// Block on the resume channel. `Err` means the simulation was torn
-    /// down before this process ever ran.
-    pub(crate) fn wait_resume(&self) -> Result<WakeReason, ()> {
-        self.resume_rx.recv().map(take_baton).map_err(|_| ())
-    }
-
-    /// Block on the resume channel mid-run; unwinds with the teardown
-    /// sentinel once the run is over (horizon stop / deadlock / panic).
-    fn wait_resume_or_unwind(&self) -> WakeReason {
-        match self.resume_rx.recv() {
-            Ok(baton) => take_baton(baton),
-            Err(_) => std::panic::panic_any(Terminated),
-        }
-    }
-
-    /// Yield, and return once some process passes the baton back — at
-    /// once, with no thread switch, when the step picks this process again.
+    /// Yield: leave `op` for the engine loop and switch to it. Returns the
+    /// wake reason once a step resumes this process; unwinds with the
+    /// teardown sentinel when the run is over instead (horizon stop,
+    /// deadlock or panic).
     fn do_yield(&mut self, op: YieldOp) -> WakeReason {
-        match self.shared.switch(self.pid, op) {
+        self.shared.state.lock().yielded = Some(op);
+        self.suspender.suspend();
+        let resume = self.shared.state.lock().resume.take();
+        match resume {
             Some(reason) => reason,
-            None => self.wait_resume_or_unwind(),
+            None => std::panic::panic_any(Terminated),
         }
     }
 
@@ -184,16 +171,6 @@ impl Ctx {
     {
         self.shared.spawn_process(name, Some(at), Some(self.pid), f)
     }
-}
-
-/// Join the thread of a process that exited handing over `baton`; it has
-/// nothing left to do but return, so this waits only for its teardown.
-fn take_baton(baton: Baton) -> WakeReason {
-    if let Some(thread) = baton.reap {
-        // Past its hand-off an exiting thread runs no code that can panic.
-        let _ = thread.join();
-    }
-    baton.reason
 }
 
 impl std::fmt::Debug for Ctx {

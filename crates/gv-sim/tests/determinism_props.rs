@@ -68,7 +68,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Re-running the same program yields the identical schedule: the
-    /// engine is deterministic despite being built on OS threads.
+    /// engine's choices depend only on the program.
     #[test]
     fn schedules_are_reproducible(
         holds in prop::collection::vec(prop::collection::vec(0u64..500, 0..8), 1..6)

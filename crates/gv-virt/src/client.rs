@@ -393,8 +393,12 @@ impl VgpuClient {
         // On the zero-copy path the RCV ACK means the results already sit
         // in the lease-backed segment (the GVM's final-iteration D2H wrote
         // them there); this read is the only result copy. On the staged
-        // path it reads what the GVM's pinned→shm copy produced.
-        let mut bytes = Vec::with_capacity(task.bytes_out as usize);
+        // path it reads what the GVM's pinned→shm copy produced. Only
+        // functional tasks keep the bytes; timing-only ones just pay for
+        // the copy.
+        let mut bytes = task
+            .is_functional()
+            .then(|| Vec::with_capacity(task.bytes_out as usize));
         let mut spans = self.spans.borrow_mut();
         self.handle
             .config
@@ -402,17 +406,11 @@ impl VgpuClient {
             .pipeline
             .plan_into(task.bytes_out, &mut spans);
         for span in spans.iter() {
-            bytes.extend(
-                self.shm
-                    .read(ctx, span.offset, span.len)
-                    .expect("output fits the shm segment"),
-            );
+            self.shm
+                .read_into(ctx, span.offset, span.len, bytes.as_mut())
+                .expect("output fits the shm segment");
         }
-        Ok(if task.is_functional() {
-            Some(bytes)
-        } else {
-            None
-        })
+        Ok(bytes)
     }
 
     /// `RLS()`: release VGPU resources.
