@@ -15,12 +15,9 @@
 use gv_kernels::{Benchmark, BenchmarkId};
 use serde::Serialize;
 
+use crate::report::{ms, x, Artifact, TextTable};
 use crate::scenario::{ExecutionMode, Scenario};
-use gv_cuda::CudaDevice;
-use gv_gpu::GpuDevice;
-use gv_ipc::Node;
-use gv_sim::Simulation;
-use gv_virt::{Gvm, GvmConfig, VgpuClient};
+use gv_virt::{FaultPlan, GvmConfig};
 
 /// Which mechanism is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -93,37 +90,13 @@ pub fn run_virtualized_ablated(
         Benchmark::scaled_task(benchmark, &device_cfg, scale_down)
     };
 
-    let mut sim = Simulation::new();
-    let device = GpuDevice::install(&mut sim, device_cfg);
-    let cuda = CudaDevice::new(device.clone());
-    let node = Node::new(scenario.node.clone());
-    let handle = Gvm::install(&mut sim, &node, &cuda, gvm_cfg, vec![task; n]);
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-    let spans: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..n {
-        let handle = handle.clone();
-        let spans = spans.clone();
-        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
-            let client = VgpuClient::connect(ctx, &handle, rank);
-            let (run, _) = client.run_task(ctx);
-            spans
-                .lock()
-                .push((run.start.as_nanos(), run.end.as_nanos()));
-        })
-        .expect("pin process");
-    }
-    let h = handle.clone();
-    let dev = device.clone();
-    sim.spawn("supervisor", move |ctx| {
-        h.done.wait(ctx);
-        dev.shutdown(ctx);
-    });
-    sim.run().expect("ablation run completes");
-    let spans = spans.lock();
-    let start = spans.iter().map(|s| s.0).min().expect("ranks reported");
-    let end = spans.iter().map(|s| s.1).max().expect("ranks reported");
-    (end - start) as f64 / 1.0e6
+    let ablated = Scenario {
+        device: device_cfg,
+        ..scenario.clone()
+    };
+    ablated
+        .run_wave(gvm_cfg, vec![task; n], &FaultPlan::default())
+        .group_ms
 }
 
 /// Full ablation sweep for one benchmark at `n` processes.
@@ -154,6 +127,38 @@ pub fn sweep(
             }
         })
         .collect()
+}
+
+/// `repro ablations`: every variant for VectorAdd, EP and CG at the
+/// node's full width.
+pub fn artifact(sc: &Scenario, scale_down: u32) -> Artifact {
+    let n = sc.node.cores;
+    let mut table = TextTable::new(vec![
+        "Benchmark",
+        "Variant",
+        "T_vt (ms)",
+        "Speedup vs direct",
+    ]);
+    for id in [BenchmarkId::VecAdd, BenchmarkId::Ep, BenchmarkId::Cg] {
+        for p in sweep(sc, id, n, scale_down) {
+            table.row(vec![
+                p.benchmark.clone(),
+                p.ablation.to_string(),
+                ms(p.vt_ms),
+                x(p.speedup),
+            ]);
+        }
+    }
+    let text = format!(
+        "ABLATIONS — MECHANISM CONTRIBUTIONS AT {n} PROCESSES (scale 1/{scale_down})\n\n{}\n\
+         Variants: {} / {} / {} / {}\n",
+        table.render(),
+        Ablation::Full,
+        Ablation::NoConcurrentKernels,
+        Ablation::UnifiedCopyEngine,
+        Ablation::SerialFlush,
+    );
+    Artifact::new("ablations", text, Some(table.to_csv()))
 }
 
 #[cfg(test)]

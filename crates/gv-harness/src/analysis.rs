@@ -4,10 +4,11 @@
 //! Each scenario is analyzed separately (a trace is one run; protocol
 //! stages and vector clocks do not compose across simulations). The pass
 //! is a regression gate: every checked scenario must analyze clean, so CI
-//! runs `repro_all --quick --analyze` and fails on any diagnostic.
+//! runs `repro all --quick --analyze` and fails on any diagnostic.
 
 use gv_kernels::{Benchmark, BenchmarkId};
 
+use crate::report::{Artifact, Report};
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// One analyzed scenario: its name, the checker report, and the raw
@@ -109,21 +110,26 @@ pub fn render(scenarios: &[AnalyzedScenario]) -> (String, bool) {
     (out, clean)
 }
 
-/// Dump every scenario's trace under `results/` in the `gv-analyze`
-/// line format, one `trace-<name>.gvtrace` per scenario (best effort).
-pub fn dump_traces(scenarios: &[AnalyzedScenario]) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create results/; skipping trace dump");
-        return;
-    }
-    for s in scenarios {
-        let path = dir.join(format!("trace-{}.gvtrace", s.name));
-        if std::fs::write(&path, gv_analyze::model::to_dump(&s.records)).is_err() {
-            eprintln!("warning: cannot write {}", path.display());
-        } else {
-            println!("dumped {}", path.display());
+/// The whole `--analyze` pass as `repro all` reports it: the rendered
+/// result (saved as `results/analyze.txt`), with `dump_trace` also every
+/// scenario's trace in the `gv-analyze` line format as
+/// `results/trace-<name>.gvtrace`. Fails (exit 1) on any diagnostic.
+pub fn pass(scale_down: u32, dump_trace: bool) -> Report {
+    let scenarios = run_all(scale_down);
+    let (text, clean) = render(&scenarios);
+    let mut stdout = format!("\n{text}\n");
+    let mut artifact = Artifact::new("analyze", text, None);
+    if dump_trace {
+        for s in &scenarios {
+            let file = format!("trace-{}.gvtrace", s.name);
+            stdout.push_str(&format!("dumped results/{file}\n"));
+            artifact = artifact.with_file(file, gv_analyze::model::to_dump(&s.records));
         }
+    }
+    Report {
+        stdout,
+        artifacts: vec![artifact],
+        code: u8::from(!clean),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The cluster placement sweep behind the `repro_cluster` binary.
+//! The cluster placement sweep behind `repro cluster`.
 //!
 //! One experiment: a fixed 128-session workload — a heterogeneous mix of
 //! VectorAdd / EP / MM / BlackScholes sessions across four tenants, with
@@ -25,8 +25,7 @@ use gv_kernels::{Benchmark, BenchmarkId};
 use gv_sim::Simulation;
 use gv_virt::{Cluster, ClusterConfig, MemQuota, PlacePolicy, VgpuRequest};
 
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
+use crate::report::{bench_record, ms, pct, Artifact, TextTable};
 use crate::scenario::Scenario;
 
 /// Sessions per sweep point (fixed across device counts so the policy
@@ -226,7 +225,8 @@ pub fn matrix(base: &Scenario, scale_down: u32, analyze: bool) -> (Vec<ClusterPo
     (points, clean)
 }
 
-/// Render the artifact from a completed [`matrix`] run.
+/// Render the artifact, with its `BENCH_cluster.json` record, from a
+/// completed [`matrix`] run.
 pub fn artifact(points: &[ClusterPoint], scale_down: u32) -> Artifact {
     let mut csv = String::from(
         "policy,devices,sessions,waves,deferred_groups,gvms,makespan_ms,\
@@ -290,43 +290,39 @@ pub fn artifact(points: &[ClusterPoint], scale_down: u32) -> Artifact {
          queues); Spread and DRF flatten per-device load; Gang holds\n\
          4-wide groups on one device, trading waves for co-residency.\n",
     );
-    Artifact {
-        name: "cluster",
-        text,
-        csv,
-    }
+    Artifact::new("cluster", text, Some(csv)).with_file("BENCH_cluster.json", bench_json(points))
 }
 
 /// Render the machine-readable record (`BENCH_cluster.json`).
 pub fn bench_json(points: &[ClusterPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"cluster_placement\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"devices\": {}, \"sessions\": {}, \
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"policy\": \"{}\", \"devices\": {}, \"sessions\": {}, \
              \"waves\": {}, \"deferred_groups\": {}, \"gvms\": {}, \
              \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \
              \"mean_ms\": {:.6}, \"util_mean\": {:.4}, \"util_min\": {:.4}, \
-             \"util_max\": {:.4}, \"sessions_min\": {}, \"sessions_max\": {}}}{}\n",
-            p.policy,
-            p.devices,
-            p.sessions,
-            p.waves,
-            p.deferred_groups,
-            p.gvms,
-            p.makespan_ms,
-            p.p50_ms,
-            p.p95_ms,
-            p.mean_ms,
-            p.util_mean,
-            p.util_min,
-            p.util_max,
-            p.sessions_min,
-            p.sessions_max,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+             \"util_max\": {:.4}, \"sessions_min\": {}, \"sessions_max\": {}}}",
+                p.policy,
+                p.devices,
+                p.sessions,
+                p.waves,
+                p.deferred_groups,
+                p.gvms,
+                p.makespan_ms,
+                p.p50_ms,
+                p.p95_ms,
+                p.mean_ms,
+                p.util_mean,
+                p.util_min,
+                p.util_max,
+                p.sessions_min,
+                p.sessions_max,
+            )
+        })
+        .collect();
+    bench_record("cluster_placement", &[], "points", &rows, &[])
 }
 
 #[cfg(test)]

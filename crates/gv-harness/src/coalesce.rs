@@ -1,5 +1,5 @@
-//! Cross-rank DMA coalescing and batched kernel launch sweep — the
-//! `repro_coalesce` binary.
+//! Cross-rank DMA coalescing and batched kernel launch sweep —
+//! `repro coalesce`.
 //!
 //! Compares the per-rank flush (coalescing off, the seed schedule kept as
 //! a config-selectable ablation) against the coalescing flush — staging
@@ -28,9 +28,8 @@ use gv_model::coalesce_saving;
 use gv_sim::SimDuration;
 use gv_virt::MemConfig;
 
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
-use crate::scenario::{ExecutionMode, Scenario};
+use crate::report::{bench_record, ms, pct, Artifact, TextTable};
+use crate::scenario::Scenario;
 
 /// Staged input payload sizes (KiB per rank) — the ISSUE's acceptance
 /// points. 16 MiB sits above the default 4 MiB fuse threshold, so its
@@ -113,78 +112,59 @@ impl CoalescePoint {
 /// Run one payload point: the direct baseline once, then the virtualized
 /// group with coalescing off and on.
 pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> CoalescePoint {
-    let run = |mem: MemConfig| {
-        let scenario = Scenario {
-            analyze,
-            ..base.clone()
-        }
-        .with_mem(mem);
-        let task = launch_dense_task(&scenario, payload_bytes);
-        scenario.run_uniform(ExecutionMode::Virtualized, &task, n)
-    };
-    let direct = {
-        let scenario = base.clone();
-        let task = launch_dense_task(&scenario, payload_bytes);
-        scenario.run_uniform(ExecutionMode::Direct, &task, 1)
-    };
-    let off = run(MemConfig::default());
-    let on = run(MemConfig::default().with_coalesce(true));
-    let og = on.gvm.as_ref().expect("virtualized run has GVM stats");
-    let mean = |r: &crate::scenario::ExperimentResult| {
-        r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64())
-    };
-    let clean = match (
-        off.analysis.as_ref().map(|r| r.is_clean()),
-        on.analysis.as_ref().map(|r| r.is_clean()),
-    ) {
-        (Some(o), Some(c)) => Some(o && c),
-        _ => None,
-    };
+    let task = launch_dense_task(base, payload_bytes);
+    let direct_ms = base.direct_post_init_ms(&task);
+    let off = MemConfig::default();
+    let ab = base.run_ab(&task, n, analyze, [off, off.with_coalesce(true)]);
+    let og = ab.b.gvm_stats();
     CoalescePoint {
         payload_kib: payload_bytes as f64 / 1024.0,
         nprocs: n,
-        direct_ms: direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64()),
-        off_rank_ms: mean(&off),
-        on_rank_ms: mean(&on),
+        direct_ms,
+        off_rank_ms: ab.a.mean_rank_ms(),
+        on_rank_ms: ab.b.mean_rank_ms(),
         fused_dma_groups: og.fused_dma_groups,
         fused_dma_subs: og.fused_dma_subs,
         batched_launches: og.batched_launches,
         fused_ratio: og.fused_dma_ratio(),
-        clean,
+        clean: ab.clean,
     }
 }
 
 /// Render the machine-readable benchmark record (`BENCH_coalesce.json`).
 pub fn bench_json(points: &[CoalescePoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"coalesce\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"points\": [\n",
-        points.first().map_or(NPROCS, |p| p.nprocs)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"payload_kib\": {:.1}, \"off_overhead_ms\": {:.6}, \
-             \"on_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
-             \"fused_dma_groups\": {}, \"fused_dma_subs\": {}, \
-             \"batched_launches\": {}, \"fused_ratio\": {:.4}}}{}\n",
-            p.payload_kib,
-            p.off_overhead(),
-            p.on_overhead(),
-            p.improvement(),
-            p.fused_dma_groups,
-            p.fused_dma_subs,
-            p.batched_launches,
-            p.fused_ratio,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"payload_kib\": {:.1}, \"off_overhead_ms\": {:.6}, \
+                 \"on_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
+                 \"fused_dma_groups\": {}, \"fused_dma_subs\": {}, \
+                 \"batched_launches\": {}, \"fused_ratio\": {:.4}}}",
+                p.payload_kib,
+                p.off_overhead(),
+                p.on_overhead(),
+                p.improvement(),
+                p.fused_dma_groups,
+                p.fused_dma_subs,
+                p.batched_launches,
+                p.fused_ratio,
+            )
+        })
+        .collect();
+    let nprocs = points.first().map_or(NPROCS, |p| p.nprocs);
+    bench_record(
+        "coalesce",
+        &[("nprocs", nprocs.to_string())],
+        "points",
+        &rows,
+        &[],
+    )
 }
 
-/// Run the sweep; returns the artifact, the `BENCH_coalesce.json` record,
-/// and whether every analyzed trace was clean.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, String, bool) {
+/// Run the sweep; returns the artifact (with its `BENCH_coalesce.json`
+/// record) and whether every analyzed trace was clean.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, bool) {
     let mut csv = String::from(
         "payload_kib,nprocs,direct_ms,off_rank_ms,on_rank_ms,off_overhead_ms,\
          on_overhead_ms,improvement,fused_dma_groups,fused_dma_subs,\
@@ -256,16 +236,9 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, Stri
         t.render(),
         m.render(),
     );
-    let json = bench_json(&points);
-    (
-        Artifact {
-            name: "coalesce",
-            text,
-            csv,
-        },
-        json,
-        clean,
-    )
+    let a = Artifact::new("coalesce", text, Some(csv))
+        .with_file("BENCH_coalesce.json", bench_json(&points));
+    (a, clean)
 }
 
 #[cfg(test)]
@@ -309,7 +282,8 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
-        let (_, json, _) = sweep(&Scenario::default(), 16, false);
+        let (a, _) = sweep(&Scenario::default(), 16, false);
+        let json = &a.files[0].1;
         assert!(json.contains("\"bench\": \"coalesce\""));
         assert_eq!(json.matches("\"payload_kib\":").count(), PAYLOADS_KIB.len());
         assert!(json.contains("\"fused_dma_groups\""));

@@ -1,4 +1,4 @@
-//! Fault-tolerant buffer-lifecycle measurements — the `repro_ft` binary.
+//! Fault-tolerant buffer-lifecycle measurements — `repro ft`.
 //!
 //! The fault-tolerant GVM allocates device memory lazily at `SND`, parks
 //! allocations in the [`DeviceAllocCache`](gv_mem::DeviceAllocCache) when
@@ -10,21 +10,12 @@
 //! wave with a crashed rank whose eviction routes its allocation through
 //! the cache.
 
-use std::sync::Arc;
-
-use gv_cuda::CudaDevice;
-use gv_gpu::GpuDevice;
-use gv_ipc::Node;
-use gv_sim::{SimDuration, Simulation};
+use gv_sim::SimDuration;
 use gv_virt::sched::estimate_cost_ms;
-use gv_virt::{
-    FaultPlan, FaultSpec, Gvm, GvmConfig, GvmStats, RequestKind, SchedPolicy, VgpuClient,
-};
-use parking_lot::Mutex;
+use gv_virt::{FaultPlan, FaultSpec, GvmConfig, RequestKind, SchedPolicy};
 
 use crate::pipeline::payload_task;
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
+use crate::report::{bench_record, ms, pct, Artifact, TextTable};
 use crate::scenario::Scenario;
 
 /// One fault-tolerant scenario's measurements.
@@ -70,58 +61,22 @@ fn run_ft(
     stagger: SimDuration,
     plan: &FaultPlan,
 ) -> FtPoint {
-    let mut sim = Simulation::new();
-    let device = GpuDevice::install(&mut sim, base.device.clone());
-    let cuda = CudaDevice::new(device.clone());
-    let node = Node::new(base.node.clone());
-    let task = payload_task(base, payload_bytes);
     let config = GvmConfig::fault_tolerant(n)
         .with_scheduler(scheduler)
         .with_mem(base.mem);
-    let handle = Gvm::install(&mut sim, &node, &cuda, config, vec![task; n]);
-    plan.install(&handle, &device);
-
-    type Spans = Arc<Mutex<Vec<(gv_sim::SimTime, gv_sim::SimTime)>>>;
-    let spans: Spans = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..n {
-        let handle = handle.clone();
-        let spans = spans.clone();
-        let abort = plan.abort_stage(rank);
-        let arrival = SimDuration::from_nanos(stagger.as_nanos().saturating_mul(rank as u64));
-        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
-            let mut client = VgpuClient::connect(ctx, &handle, rank);
-            if !arrival.is_zero() {
-                ctx.hold(arrival);
-            }
-            if let Some(stage) = abort {
-                client.abort_at(stage);
-            }
-            let start = ctx.now();
-            let _ = client.try_run_task(ctx);
-            spans.lock().push((start, ctx.now()));
-        })
-        .expect("pin SPMD process");
-    }
-    let h = handle.clone();
-    let dev = device.clone();
-    sim.spawn("supervisor", move |ctx| {
-        h.done.wait(ctx);
-        dev.shutdown(ctx);
-    });
-    sim.run().expect("fault-tolerant scenario must complete");
-
-    let spans = spans.lock();
-    let start = spans.iter().map(|(s, _)| *s).min().expect("non-empty");
-    let end = spans.iter().map(|(_, e)| *e).max().expect("non-empty");
-    let stats: GvmStats = handle.stats.lock().clone();
+    let task = payload_task(base, payload_bytes);
+    let w = base
+        .clone()
+        .with_stagger(stagger)
+        .run_wave(config, vec![task; n], plan);
     FtPoint {
         name,
         nprocs: n,
-        group_ms: end.duration_since(start).as_millis_f64(),
-        devcache_hits: stats.devcache_hits,
-        devcache_misses: stats.devcache_misses,
-        evictions: stats.evictions,
-        naks: stats.naks,
+        group_ms: w.group_ms,
+        devcache_hits: w.stats.devcache_hits,
+        devcache_misses: w.stats.devcache_misses,
+        evictions: w.stats.evictions,
+        naks: w.stats.naks,
     }
 }
 
@@ -177,7 +132,8 @@ pub fn scenarios(base: &Scenario, scale_down: u32) -> Vec<FtPoint> {
     ]
 }
 
-/// Render the text + CSV artifact from the scenario points.
+/// Render the text + CSV artifact, with its `BENCH_ft.json` record, from
+/// the scenario points.
 pub fn artifact(points: &[FtPoint], scale_down: u32) -> Artifact {
     let mut t = TextTable::new(vec![
         "scenario",
@@ -223,34 +179,30 @@ pub fn artifact(points: &[FtPoint], scale_down: u32) -> Artifact {
          ranks instead of paying cudaMalloc again.\n",
         t.render()
     );
-    Artifact {
-        name: "ft",
-        text,
-        csv,
-    }
+    Artifact::new("ft", text, Some(csv)).with_file("BENCH_ft.json", bench_json(points))
 }
 
 /// Render the machine-readable record (`BENCH_ft.json`).
 pub fn bench_json(points: &[FtPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"ft_devcache\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"nprocs\": {}, \"group_ms\": {:.6}, \
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"scenario\": \"{}\", \"nprocs\": {}, \"group_ms\": {:.6}, \
              \"devcache_hits\": {}, \"devcache_misses\": {}, \"hit_rate\": {:.4}, \
-             \"evictions\": {}, \"naks\": {}}}{}\n",
-            p.name,
-            p.nprocs,
-            p.group_ms,
-            p.devcache_hits,
-            p.devcache_misses,
-            p.hit_rate(),
-            p.evictions,
-            p.naks,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+             \"evictions\": {}, \"naks\": {}}}",
+                p.name,
+                p.nprocs,
+                p.group_ms,
+                p.devcache_hits,
+                p.devcache_misses,
+                p.hit_rate(),
+                p.evictions,
+                p.naks,
+            )
+        })
+        .collect();
+    bench_record("ft_devcache", &[], "points", &rows, &[])
 }
 
 #[cfg(test)]
@@ -286,7 +238,7 @@ mod tests {
     fn ft_artifacts_are_well_formed() {
         let pts = scenarios(&Scenario::default(), 64);
         let a = artifact(&pts, 64);
-        assert_eq!(a.csv.lines().count(), 1 + pts.len());
+        assert_eq!(a.csv.unwrap().lines().count(), 1 + pts.len());
         let j = bench_json(&pts);
         assert!(j.contains("\"bench\": \"ft_devcache\""));
         assert_eq!(j.matches("\"scenario\":").count(), pts.len());

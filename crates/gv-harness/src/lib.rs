@@ -9,13 +9,14 @@
 //! * [`sched`] — GVM scheduling-policy sweeps (beyond the paper)
 //! * [`cluster`] — cluster placement-policy sweeps (beyond the paper)
 //! * [`pipeline`] — chunked staging/copy pipeline sweeps (beyond the paper)
-//! * [`report`] — text/CSV/JSON emission
+//! * [`explore`] — schedule exploration over the `gv-analyze` catalog
+//! * [`report`] — text/CSV/JSON emission, artifacts and reports
+//! * [`repro`] — the paper's tables and figures, and the experiment
+//!   registry
 //!
-//! The `repro_*` binaries in this crate regenerate each artifact:
-//! `repro_table2`, `repro_table3`, `repro_table4`, `repro_fig9`,
-//! `repro_fig10`, `repro_fig11_15`, `repro_fig16`, `repro_sched`,
-//! `repro_pipeline`, `repro_cluster`, and `repro_all`. Each accepts `--quick` for a
-//! scaled-down smoke run.
+//! One binary, `repro <experiment> [flags]`, runs any entry of
+//! [`repro::REGISTRY`]; `repro --help` lists them and their flags.
+//! `--quick` makes any of them a scaled-down smoke run.
 
 #![warn(missing_docs)]
 
@@ -23,6 +24,7 @@ pub mod ablation;
 pub mod analysis;
 pub mod cluster;
 pub mod coalesce;
+pub mod explore;
 pub mod ft;
 pub mod overhead;
 pub mod pipeline;

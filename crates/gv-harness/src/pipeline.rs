@@ -1,4 +1,4 @@
-//! Chunked copy/compute pipelining sweep — the `repro_pipeline` binary.
+//! Chunked copy/compute pipelining sweep — `repro pipeline`.
 //!
 //! Compares the serial-staging GVM (chunking off, the seed behavior) with
 //! the chunked+pooled pipeline over chunk count × payload size × group
@@ -18,8 +18,7 @@ use gv_sim::SimDuration;
 use gv_virt::sched::estimate_cost_ms;
 use gv_virt::{MemConfig, SchedPolicy};
 
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
+use crate::report::{bench_record, ms, pct, Artifact, TextTable};
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// Chunk counts swept; 1 is the serial-staging baseline.
@@ -94,14 +93,25 @@ pub fn run_point(
     }
     .with_mem(mem);
     let task = payload_task(&scenario, payload_bytes);
-    let result = scenario.run_uniform(ExecutionMode::Virtualized, &task, n);
-    let gvm = result.gvm.as_ref().expect("virtualized run has GVM stats");
+    measure(&scenario, &task, chunks, payload_bytes, n)
+}
+
+/// Run `task` on `n` virtualized ranks and record the pipeline counters.
+fn measure(
+    scenario: &Scenario,
+    task: &GpuTask,
+    chunks: usize,
+    payload_bytes: u64,
+    n: usize,
+) -> PipelinePoint {
+    let result = scenario.run_uniform(ExecutionMode::Virtualized, task, n);
+    let gvm = result.gvm_stats();
     PipelinePoint {
         chunks,
         payload_mib: payload_bytes as f64 / (1 << 20) as f64,
         nprocs: n,
         group_ms: result.turnaround_ms,
-        mean_rank_ms: result.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64()),
+        mean_rank_ms: result.mean_rank_ms(),
         copy_ms: gvm.copy_time.as_millis_f64(),
         pool_hit_rate: gvm.pool_hit_rate(),
         chunked_transfers: gvm.chunked_transfers,
@@ -127,21 +137,7 @@ pub fn pool_reuse_point(base: &Scenario, scale_down: u32, analyze: bool) -> Pipe
     // fully drained (leases recycled at RCV) before the next SND arrives.
     let cost = estimate_cost_ms(&task, &scenario.device, &scenario.node);
     let scenario = scenario.with_stagger(SimDuration::from_millis_f64(cost * 1.5));
-    let n = 8;
-    let result = scenario.run_uniform(ExecutionMode::Virtualized, &task, n);
-    let gvm = result.gvm.as_ref().expect("virtualized run has GVM stats");
-    PipelinePoint {
-        chunks: 4,
-        payload_mib: payload as f64 / (1 << 20) as f64,
-        nprocs: n,
-        group_ms: result.turnaround_ms,
-        mean_rank_ms: result.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64()),
-        copy_ms: gvm.copy_time.as_millis_f64(),
-        pool_hit_rate: gvm.pool_hit_rate(),
-        chunked_transfers: gvm.chunked_transfers,
-        chunks_submitted: gvm.chunks_submitted,
-        clean: result.analysis.as_ref().map(|r| r.is_clean()),
-    }
+    measure(&scenario, &task, 4, payload, 8)
 }
 
 /// One steady-state before/after measurement: the same multi-round group
@@ -187,39 +183,31 @@ pub fn steady_point(
     rounds: u32,
     analyze: bool,
 ) -> SteadyPoint {
-    let run = |mem: MemConfig| {
-        let scenario = Scenario {
-            analyze,
-            ..base.clone()
-        }
-        .with_mem(mem)
-        .with_rounds(rounds);
-        let task = payload_task(&scenario, payload_bytes);
-        scenario.run_uniform(ExecutionMode::Virtualized, &task, n)
-    };
-    let before = run(MemConfig::pipelined(4, THRESHOLD).with_first_round_only());
-    let after = run(MemConfig::adaptive(4, THRESHOLD).with_steady());
-    let gvm = after.gvm.as_ref().expect("virtualized run has GVM stats");
-    let clean = match (
-        before.analysis.as_ref().map(|r| r.is_clean()),
-        after.analysis.as_ref().map(|r| r.is_clean()),
-    ) {
-        (Some(b), Some(a)) => Some(b && a),
-        _ => None,
-    };
+    let base = base.clone().with_rounds(rounds);
+    let task = payload_task(&base, payload_bytes);
+    let ab = base.run_ab(
+        &task,
+        n,
+        analyze,
+        [
+            MemConfig::pipelined(4, THRESHOLD).with_first_round_only(),
+            MemConfig::adaptive(4, THRESHOLD).with_steady(),
+        ],
+    );
+    let gvm = ab.b.gvm_stats();
     SteadyPoint {
         payload_mib: payload_bytes as f64 / (1 << 20) as f64,
         nprocs: n,
         rounds,
-        before_ms: before.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64()),
-        after_ms: after.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64()),
+        before_ms: ab.a.mean_rank_ms(),
+        after_ms: ab.b.mean_rank_ms(),
         prefetches: gvm.steady_prefetches,
         mean_k: if gvm.chunked_transfers > 0 {
             gvm.chunks_submitted as f64 / gvm.chunked_transfers as f64
         } else {
             0.0
         },
-        clean,
+        clean: ab.clean,
     }
 }
 
@@ -239,28 +227,33 @@ pub fn steady_sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Vec<Stea
 /// (`BENCH_pipeline_steady.json`): before/after mean rank turnaround per
 /// payload size.
 pub fn steady_bench_json(points: &[SteadyPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"pipeline_steady\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"rounds\": {},\n  \"points\": [\n",
-        points.first().map_or(8, |p| p.nprocs),
-        points.first().map_or(STEADY_ROUNDS, |p| p.rounds),
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"payload_mib\": {:.3}, \"before_mean_rank_ms\": {:.6}, \
-             \"after_mean_rank_ms\": {:.6}, \"improvement\": {:.4}, \
-             \"steady_prefetches\": {}, \"mean_adaptive_k\": {:.3}}}{}\n",
-            p.payload_mib,
-            p.before_ms,
-            p.after_ms,
-            p.improvement(),
-            p.prefetches,
-            p.mean_k,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"payload_mib\": {:.3}, \"before_mean_rank_ms\": {:.6}, \
+                 \"after_mean_rank_ms\": {:.6}, \"improvement\": {:.4}, \
+                 \"steady_prefetches\": {}, \"mean_adaptive_k\": {:.3}}}",
+                p.payload_mib,
+                p.before_ms,
+                p.after_ms,
+                p.improvement(),
+                p.prefetches,
+                p.mean_k,
+            )
+        })
+        .collect();
+    let head = [
+        ("nprocs", points.first().map_or(8, |p| p.nprocs).to_string()),
+        (
+            "rounds",
+            points
+                .first()
+                .map_or(STEADY_ROUNDS, |p| p.rounds)
+                .to_string(),
+        ),
+    ];
+    bench_record("pipeline_steady", &head, "points", &rows, &[])
 }
 
 /// The headline comparison: serial vs every chunk count at 8 processes ×
@@ -293,43 +286,37 @@ pub fn headline(base: &Scenario, scale_down: u32, analyze: bool) -> Headline {
 /// Render the machine-readable benchmark record (`BENCH_pipeline.json`)
 /// from the headline points and the pool-reuse demonstration.
 pub fn bench_json(hl: &Headline, reuse: Option<&PipelinePoint>) -> String {
-    let mut out = String::from("{\n  \"bench\": \"pipeline\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"payload_mib\": {:.3},\n  \"points\": [\n",
-        hl.points[0].nprocs, hl.points[0].payload_mib
-    ));
-    for (i, p) in hl.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"chunks\": {}, \"mean_rank_turnaround_ms\": {:.6}, \
-             \"group_turnaround_ms\": {:.6}, \"copy_time_ms\": {:.6}, \
-             \"pool_hit_rate\": {:.4}}}{}\n",
-            p.chunks,
-            p.mean_rank_ms,
-            p.group_ms,
-            p.copy_ms,
-            p.pool_hit_rate,
-            if i + 1 < hl.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"best_improvement_over_serial\": {:.4}",
-        hl.best_improvement
-    ));
+    let rows: Vec<String> = hl
+        .points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"chunks\": {}, \"mean_rank_turnaround_ms\": {:.6}, \
+                 \"group_turnaround_ms\": {:.6}, \"copy_time_ms\": {:.6}, \
+                 \"pool_hit_rate\": {:.4}}}",
+                p.chunks, p.mean_rank_ms, p.group_ms, p.copy_ms, p.pool_hit_rate,
+            )
+        })
+        .collect();
+    let head = [
+        ("nprocs", hl.points[0].nprocs.to_string()),
+        ("payload_mib", format!("{:.3}", hl.points[0].payload_mib)),
+    ];
+    let mut tail = vec![(
+        "best_improvement_over_serial",
+        format!("{:.4}", hl.best_improvement),
+    )];
     if let Some(r) = reuse {
-        out.push_str(&format!(
-            ",\n  \"staggered_pool_hit_rate\": {:.4}",
-            r.pool_hit_rate
-        ));
+        tail.push(("staggered_pool_hit_rate", format!("{:.4}", r.pool_hit_rate)));
     }
-    out.push_str("\n}\n");
-    out
+    bench_record("pipeline", &head, "points", &rows, &tail)
 }
 
 /// Run the full matrix plus the headline and the steady-state sweep;
-/// returns the artifact, the `BENCH_pipeline.json` record, the
-/// `BENCH_pipeline_steady.json` record, and whether every analyzed trace
+/// returns the artifact (with its `BENCH_pipeline.json` and
+/// `BENCH_pipeline_steady.json` records) and whether every analyzed trace
 /// was clean.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, String, String, bool) {
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, bool) {
     let mut csv = String::from(
         "experiment,chunks,payload_mib,nprocs,group_ms,mean_rank_ms,copy_ms,\
          pool_hit_rate,chunked_transfers,chunks_submitted,analyzed_clean\n",
@@ -458,18 +445,10 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, Stri
         t.render()
     ));
 
-    let json = bench_json(&hl, Some(&reuse));
-    let steady_json = steady_bench_json(&steady);
-    (
-        Artifact {
-            name: "pipeline",
-            text,
-            csv,
-        },
-        json,
-        steady_json,
-        clean,
-    )
+    let a = Artifact::new("pipeline", text, Some(csv))
+        .with_file("BENCH_pipeline.json", bench_json(&hl, Some(&reuse)))
+        .with_file("BENCH_pipeline_steady.json", steady_bench_json(&steady));
+    (a, clean)
 }
 
 #[cfg(test)]

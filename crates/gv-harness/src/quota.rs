@@ -1,5 +1,5 @@
-//! Device-memory quota and VRAM-oversubscription measurements — the
-//! `repro_quota` binary.
+//! Device-memory quota and VRAM-oversubscription measurements —
+//! `repro quota`.
 //!
 //! Each point runs the same staggered FCFS wave of 8 quota'd sessions
 //! twice against a deliberately small device: once **hard-fit** (finite
@@ -15,20 +15,14 @@
 //! device-allocation cache can never serve a later session from an
 //! exact-shape parked buffer and mask the hard-fit ceiling.
 
-use std::sync::Arc;
-
-use gv_cuda::CudaDevice;
-use gv_gpu::{DeviceConfig, GpuDevice};
-use gv_ipc::Node;
+use gv_gpu::DeviceConfig;
 use gv_kernels::vecadd;
-use gv_sim::{SimDuration, Simulation};
+use gv_sim::SimDuration;
 use gv_virt::sched::estimate_cost_ms;
-use gv_virt::{Gvm, GvmConfig, GvmStats, MemQuota, SchedPolicy, VgpuClient};
-use parking_lot::Mutex;
+use gv_virt::{FaultPlan, GvmConfig, MemQuota, SchedPolicy};
 
-use crate::report::{ms, x, TextTable};
-use crate::repro::Artifact;
-use crate::scenario::Scenario;
+use crate::report::{bench_record, ms, x, Artifact, TextTable};
+use crate::scenario::{Scenario, Wave};
 
 /// Sessions per wave.
 const NPROCS: usize = 8;
@@ -72,14 +66,6 @@ impl QuotaPoint {
     }
 }
 
-/// What one wave (one mode at one ratio) measured.
-struct Wave {
-    admitted: usize,
-    group_ms: f64,
-    stats: GvmStats,
-    clean: Option<bool>,
-}
-
 /// The small device the sweep overcommits: the base device with its VRAM
 /// shrunk to `64 MiB / scale_down`, so paper-sized cost parameters apply
 /// but capacity is something eight sessions can actually strain.
@@ -110,13 +96,6 @@ fn run_wave(
     swap: bool,
     analyze: bool,
 ) -> Wave {
-    let mut sim = Simulation::new();
-    let tracer = sim.tracer();
-    tracer.set_analysis(analyze);
-    let device = GpuDevice::install(&mut sim, device_cfg.clone());
-    let cuda = CudaDevice::new(device.clone());
-    let node = Node::new(base.node.clone());
-
     let tasks: Vec<_> = elems
         .iter()
         .map(|&n| vecadd::scaled_task(device_cfg, n))
@@ -142,53 +121,14 @@ fn run_wave(
     if swap {
         config = config.with_swap();
     }
-    let n = tasks.len();
-    let handle = Gvm::install(&mut sim, &node, &cuda, config, tasks);
-
-    type Spans = Arc<Mutex<Vec<(gv_sim::SimTime, gv_sim::SimTime, bool)>>>;
-    let spans: Spans = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..n {
-        let handle = handle.clone();
-        let spans = spans.clone();
-        let arrival = SimDuration::from_nanos(stagger.as_nanos().saturating_mul(rank as u64));
-        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
-            let client = VgpuClient::connect(ctx, &handle, rank);
-            if !arrival.is_zero() {
-                ctx.hold(arrival);
-            }
-            let start = ctx.now();
-            let admitted = client.try_run_task(ctx).is_ok();
-            spans.lock().push((start, ctx.now(), admitted));
-        })
-        .expect("pin SPMD process");
-    }
-    let h = handle.clone();
-    let dev = device.clone();
-    sim.spawn("supervisor", move |ctx| {
-        h.done.wait(ctx);
-        dev.shutdown(ctx);
-    });
-    sim.run().expect("quota wave must complete");
-
-    let spans = spans.lock();
-    let start = spans.iter().map(|(s, _, _)| *s).min().expect("non-empty");
-    let end = spans.iter().map(|(_, e, _)| *e).max().expect("non-empty");
-    let stats = handle.stats.lock().clone();
-    Wave {
-        admitted: spans.iter().filter(|(_, _, ok)| *ok).count(),
-        group_ms: end.duration_since(start).as_millis_f64(),
-        stats,
-        clean: analyze.then(|| {
-            let report = gv_analyze::analyze(&tracer.analysis_snapshot());
-            if !report.is_clean() {
-                eprintln!(
-                    "quota wave (swap={swap}): gv-analyze diagnostics:\n{}",
-                    report.render()
-                );
-            }
-            report.is_clean()
-        }),
-    }
+    let scenario = Scenario {
+        device: device_cfg.clone(),
+        analyze,
+        ..base.clone()
+    };
+    scenario
+        .with_stagger(stagger)
+        .run_wave(config, tasks, &FaultPlan::default())
 }
 
 /// Sweep aggregate demand over 1×, 2×, 4×, and 8× of device capacity.
@@ -225,7 +165,8 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Vec<QuotaPoint
     (points, clean)
 }
 
-/// Render the text + CSV artifact from the sweep points.
+/// Render the text + CSV artifact, with its `BENCH_quota.json` record,
+/// from the sweep points.
 pub fn artifact(points: &[QuotaPoint], scale_down: u32) -> Artifact {
     let mut t = TextTable::new(vec![
         "demand",
@@ -287,38 +228,34 @@ pub fn artifact(points: &[QuotaPoint], scale_down: u32) -> Artifact {
         t.render(),
         best,
     );
-    Artifact {
-        name: "quota",
-        text,
-        csv,
-    }
+    Artifact::new("quota", text, Some(csv)).with_file("BENCH_quota.json", bench_json(points))
 }
 
 /// Render the machine-readable record (`BENCH_quota.json`).
 pub fn bench_json(points: &[QuotaPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"quota_oversubscription\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"ratio\": {}, \"nprocs\": {}, \"admitted_hard\": {}, \
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"ratio\": {}, \"nprocs\": {}, \"admitted_hard\": {}, \
              \"admitted_swap\": {}, \"admit_gain\": {:.3}, \"naks_hard\": {}, \
              \"swap_outs\": {}, \"swap_ins\": {}, \"swapped_out_bytes\": {}, \
-             \"group_ms_hard\": {:.6}, \"group_ms_swap\": {:.6}}}{}\n",
-            p.ratio,
-            p.nprocs,
-            p.admitted_hard,
-            p.admitted_swap,
-            p.admit_gain(),
-            p.naks_hard,
-            p.swap_outs,
-            p.swap_ins,
-            p.swapped_out_bytes,
-            p.group_ms_hard,
-            p.group_ms_swap,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+             \"group_ms_hard\": {:.6}, \"group_ms_swap\": {:.6}}}",
+                p.ratio,
+                p.nprocs,
+                p.admitted_hard,
+                p.admitted_swap,
+                p.admit_gain(),
+                p.naks_hard,
+                p.swap_outs,
+                p.swap_ins,
+                p.swapped_out_bytes,
+                p.group_ms_hard,
+                p.group_ms_swap,
+            )
+        })
+        .collect();
+    bench_record("quota_oversubscription", &[], "points", &rows, &[])
 }
 
 #[cfg(test)]
@@ -373,7 +310,7 @@ mod tests {
     fn quota_artifacts_are_well_formed() {
         let (pts, _) = sweep(&Scenario::default(), 64, false);
         let a = artifact(&pts, 64);
-        assert_eq!(a.csv.lines().count(), 1 + pts.len());
+        assert_eq!(a.csv.unwrap().lines().count(), 1 + pts.len());
         let j = bench_json(&pts);
         assert!(j.contains("\"bench\": \"quota_oversubscription\""));
         assert_eq!(j.matches("\"ratio\":").count(), pts.len());

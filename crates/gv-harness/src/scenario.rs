@@ -12,10 +12,10 @@ use gv_cuda::CudaDevice;
 use gv_gpu::{DeviceConfig, DeviceStats, GpuDevice};
 use gv_ipc::{Node, NodeConfig};
 use gv_kernels::GpuTask;
-use gv_sim::{OracleHandle, SimDuration, SimError, Simulation};
+use gv_sim::{OracleHandle, SimDuration, SimError, SimTime, Simulation};
 use gv_virt::{
-    run_direct, Cluster, ClusterConfig, ClusterHandle, Gvm, GvmConfig, GvmHandle, GvmStats,
-    MemConfig, MemQuota, PlacePolicy, SchedPolicy, TaskRun, VgpuClient, VgpuRequest,
+    run_direct, Cluster, ClusterConfig, ClusterHandle, FaultPlan, Gvm, GvmConfig, GvmHandle,
+    GvmStats, MemConfig, MemQuota, PlacePolicy, SchedPolicy, TaskRun, VgpuClient, VgpuRequest,
 };
 use parking_lot::Mutex;
 
@@ -69,6 +69,16 @@ impl ExperimentResult {
     /// Mean of a per-process phase over all ranks.
     pub fn mean_phase(&self, f: impl Fn(&TaskRun) -> f64) -> f64 {
         self.runs.iter().map(f).sum::<f64>() / self.runs.len() as f64
+    }
+
+    /// Mean per-rank turnaround (own end − own start), ms.
+    pub fn mean_rank_ms(&self) -> f64 {
+        self.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64())
+    }
+
+    /// The GVM statistics of a virtualized run.
+    pub fn gvm_stats(&self) -> &GvmStats {
+        self.gvm.as_ref().expect("virtualized run has GVM stats")
     }
 
     /// Latest initialization completion relative to group start — the
@@ -361,6 +371,124 @@ impl Scenario {
     pub fn run_uniform(&self, mode: ExecutionMode, task: &GpuTask, n: usize) -> ExperimentResult {
         self.run(mode, vec![task.clone(); n])
     }
+
+    /// An A/B comparison: `task` on `n` virtualized ranks under mem
+    /// config `a`, then under `b`, both traces checked when `analyze`.
+    pub fn run_ab(
+        &self,
+        task: &GpuTask,
+        n: usize,
+        analyze: bool,
+        [a, b]: [MemConfig; 2],
+    ) -> AbRuns {
+        let run = |mem| {
+            Scenario {
+                analyze,
+                ..self.clone()
+            }
+            .with_mem(mem)
+            .run_uniform(ExecutionMode::Virtualized, task, n)
+        };
+        let (a, b) = (run(a), run(b));
+        let clean = match (&a.analysis, &b.analysis) {
+            (Some(x), Some(y)) => Some(x.is_clean() && y.is_clean()),
+            _ => None,
+        };
+        AbRuns { a, b, clean }
+    }
+
+    /// Run `tasks` once each through a GVM installed with `config`: the
+    /// fault-tolerant, quota'd and ablated groups [`run`](Self::run) does
+    /// not configure. Rank `r` connects, arrives `r × stagger` later, and
+    /// runs its task to completion, to a NAK, or to the abort `plan`
+    /// scripts for it; `plan`'s other faults are armed before the run.
+    pub fn run_wave(&self, config: GvmConfig, tasks: Vec<GpuTask>, plan: &FaultPlan) -> Wave {
+        let n = tasks.len();
+        let mut sim = Simulation::new();
+        let tracer = sim.tracer();
+        tracer.set_analysis(self.analyze);
+        let device = GpuDevice::install(&mut sim, self.device.clone());
+        let cuda = CudaDevice::new(device.clone());
+        let node = Node::new(self.node.clone());
+        let handle = Gvm::install(&mut sim, &node, &cuda, config, tasks);
+        plan.install(&handle, &device);
+
+        type Spans = Arc<Mutex<Vec<(SimTime, SimTime, bool)>>>;
+        let spans: Spans = Arc::new(Mutex::new(Vec::new()));
+        for rank in 0..n {
+            let (handle, spans) = (handle.clone(), spans.clone());
+            let abort = plan.abort_stage(rank);
+            let arrival = arrival_delay(self.stagger, rank);
+            node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
+                let mut client = VgpuClient::connect(ctx, &handle, rank);
+                if !arrival.is_zero() {
+                    ctx.hold(arrival);
+                }
+                if let Some(stage) = abort {
+                    client.abort_at(stage);
+                }
+                let start = ctx.now();
+                let admitted = client.try_run_task(ctx).is_ok();
+                spans.lock().push((start, ctx.now(), admitted));
+            })
+            .expect("pin SPMD process");
+        }
+        let (h, dev) = (handle.clone(), device.clone());
+        sim.spawn("supervisor", move |ctx| {
+            h.done.wait(ctx);
+            dev.shutdown(ctx);
+        });
+        sim.run().expect("GVM wave must complete");
+
+        let spans = spans.lock();
+        let start = spans.iter().map(|s| s.0).min().expect("non-empty");
+        let end = spans.iter().map(|s| s.1).max().expect("non-empty");
+        let stats = handle.stats.lock().clone();
+        Wave {
+            admitted: spans.iter().filter(|s| s.2).count(),
+            group_ms: end.duration_since(start).as_millis_f64(),
+            stats,
+            clean: self.analyze.then(|| {
+                let report = gv_analyze::analyze_tracer(&tracer);
+                if !report.is_clean() {
+                    eprintln!("gv-analyze diagnostics:\n{}", report.render());
+                }
+                report.is_clean()
+            }),
+        }
+    }
+
+    /// Post-init turnaround (`end − init_done`) of one direct
+    /// single-process run of `task`: the raw-device baseline per-request
+    /// overheads are measured against. Initialization is excluded; it is
+    /// one-time, not per-request.
+    pub fn direct_post_init_ms(&self, task: &GpuTask) -> f64 {
+        self.run_uniform(ExecutionMode::Direct, task, 1)
+            .mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64())
+    }
+}
+
+/// What [`Scenario::run_wave`] measured.
+pub struct Wave {
+    /// Ranks whose task ran to completion (the rest were NAKed or aborted).
+    pub admitted: usize,
+    /// Group turnaround over every rank, finished or not (max end − min
+    /// start), ms.
+    pub group_ms: f64,
+    /// GVM statistics at the end of the run.
+    pub stats: GvmStats,
+    /// `gv-analyze` verdict (`None` when analysis is off).
+    pub clean: Option<bool>,
+}
+
+/// Both runs of [`Scenario::run_ab`].
+pub struct AbRuns {
+    /// The run under the first (baseline) mem config.
+    pub a: ExperimentResult,
+    /// The run under the second mem config.
+    pub b: ExperimentResult,
+    /// `gv-analyze` verdict over both traces (`None` when analysis is off).
+    pub clean: Option<bool>,
 }
 
 /// Rank `r` arrives `r × stagger` after the group launch.

@@ -1,4 +1,4 @@
-//! The scheduling-policy sweep behind the `repro_sched` binary.
+//! The scheduling-policy sweep behind `repro sched`.
 //!
 //! Two experiments:
 //!
@@ -22,8 +22,7 @@ use gv_sim::SimDuration;
 use gv_virt::sched::{calibrated_batch_timeout, estimate_cost_ms};
 use gv_virt::SchedPolicy;
 
-use crate::report::{ms, x, TextTable};
-use crate::repro::Artifact;
+use crate::report::{ms, x, Artifact, TextTable};
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// Benchmarks the matrix sweeps (Table II microbenchmarks plus two
@@ -100,14 +99,13 @@ pub fn run_point(
     .with_stagger(stagger);
     let task = Benchmark::scaled_task(id, &scenario.device, scale_down.max(1));
     let result = scenario.run_uniform(ExecutionMode::Virtualized, &task, n);
-    let gvm = result.gvm.as_ref().expect("virtualized run has GVM stats");
-    let mean_rank_ms = result.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64());
+    let gvm = result.gvm_stats();
     SchedPoint {
         policy: name,
         benchmark: Benchmark::describe(id).name,
         nprocs: n,
         group_ms: result.turnaround_ms,
-        mean_rank_ms,
+        mean_rank_ms: result.mean_rank_ms(),
         flushes: gvm.flushes,
         partial_flushes: gvm.partial_flushes,
         queue_depth_mean: gvm.queue_depth_mean(),
@@ -248,14 +246,7 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, bool
         hl.best_improvement * 100.0
     ));
 
-    (
-        Artifact {
-            name: "sched",
-            text,
-            csv,
-        },
-        clean,
-    )
+    (Artifact::new("sched", text, Some(csv)), clean)
 }
 
 #[cfg(test)]

@@ -1,5 +1,4 @@
-//! Zero-copy descriptor-passing transport sweep — the `repro_zerocopy`
-//! binary.
+//! Zero-copy descriptor-passing transport sweep — `repro zerocopy`.
 //!
 //! Compares the staged-copy request path (the seed wire format, kept as a
 //! config-selectable ablation) against the zero-copy transport — the GVM
@@ -23,9 +22,8 @@ use gv_model::request_overhead;
 use gv_virt::MemConfig;
 
 use crate::pipeline::payload_task;
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
-use crate::scenario::{ExecutionMode, Scenario};
+use crate::report::{bench_record, ms, pct, Artifact, TextTable};
+use crate::scenario::Scenario;
 
 /// Staged input payload sizes (MiB per rank) — the ISSUE's acceptance
 /// points.
@@ -82,78 +80,58 @@ impl ZeroCopyPoint {
 /// Run one payload point: the direct baseline once, then the virtualized
 /// group under the staged ablation and under the zero-copy transport.
 pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> ZeroCopyPoint {
-    let run = |mem: MemConfig| {
-        let scenario = Scenario {
-            analyze,
-            ..base.clone()
-        }
-        .with_mem(mem);
-        let task = payload_task(&scenario, payload_bytes);
-        scenario.run_uniform(ExecutionMode::Virtualized, &task, n)
-    };
-    let direct = {
-        let scenario = base.clone();
-        let task = payload_task(&scenario, payload_bytes);
-        scenario.run_uniform(ExecutionMode::Direct, &task, 1)
-    };
-    let staged = run(MemConfig::zero_copy().with_zero_copy(false));
-    let zc = run(MemConfig::zero_copy());
-    let sg = staged.gvm.as_ref().expect("virtualized run has GVM stats");
-    let zg = zc.gvm.as_ref().expect("virtualized run has GVM stats");
-    let mean = |r: &crate::scenario::ExperimentResult| {
-        r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64())
-    };
-    let clean = match (
-        staged.analysis.as_ref().map(|r| r.is_clean()),
-        zc.analysis.as_ref().map(|r| r.is_clean()),
-    ) {
-        (Some(s), Some(z)) => Some(s && z),
-        _ => None,
-    };
+    let task = payload_task(base, payload_bytes);
+    let direct_ms = base.direct_post_init_ms(&task);
+    let zc = MemConfig::zero_copy();
+    let ab = base.run_ab(&task, n, analyze, [zc.with_zero_copy(false), zc]);
+    let (sg, zg) = (ab.a.gvm_stats(), ab.b.gvm_stats());
     ZeroCopyPoint {
         payload_mib: payload_bytes as f64 / (1 << 20) as f64,
         nprocs: n,
-        direct_ms: direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64()),
-        staged_rank_ms: mean(&staged),
-        zc_rank_ms: mean(&zc),
+        direct_ms,
+        staged_rank_ms: ab.a.mean_rank_ms(),
+        zc_rank_ms: ab.b.mean_rank_ms(),
         staged_copy_ms: sg.copy_time.as_millis_f64(),
         zc_copy_ms: zg.copy_time.as_millis_f64(),
         staged_snd_copies: sg.snd_copies,
         zc_snd_copies: zg.snd_copies,
-        clean,
+        clean: ab.clean,
     }
 }
 
 /// Render the machine-readable benchmark record (`BENCH_zerocopy.json`).
 pub fn bench_json(points: &[ZeroCopyPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"zerocopy\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"points\": [\n",
-        points.first().map_or(NPROCS, |p| p.nprocs)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"payload_mib\": {:.3}, \"staged_overhead_ms\": {:.6}, \
-             \"zerocopy_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
-             \"staged_gvm_copy_ms\": {:.6}, \"zerocopy_gvm_copy_ms\": {:.6}, \
-             \"zerocopy_snd_copies\": {}}}{}\n",
-            p.payload_mib,
-            p.staged_overhead(),
-            p.zc_overhead(),
-            p.improvement(),
-            p.staged_copy_ms,
-            p.zc_copy_ms,
-            p.zc_snd_copies,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"payload_mib\": {:.3}, \"staged_overhead_ms\": {:.6}, \
+                 \"zerocopy_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
+                 \"staged_gvm_copy_ms\": {:.6}, \"zerocopy_gvm_copy_ms\": {:.6}, \
+                 \"zerocopy_snd_copies\": {}}}",
+                p.payload_mib,
+                p.staged_overhead(),
+                p.zc_overhead(),
+                p.improvement(),
+                p.staged_copy_ms,
+                p.zc_copy_ms,
+                p.zc_snd_copies,
+            )
+        })
+        .collect();
+    let nprocs = points.first().map_or(NPROCS, |p| p.nprocs);
+    bench_record(
+        "zerocopy",
+        &[("nprocs", nprocs.to_string())],
+        "points",
+        &rows,
+        &[],
+    )
 }
 
-/// Run the sweep; returns the artifact, the `BENCH_zerocopy.json` record,
-/// and whether every analyzed trace was clean.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, String, bool) {
+/// Run the sweep; returns the artifact (with its `BENCH_zerocopy.json`
+/// record) and whether every analyzed trace was clean.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, bool) {
     let mut csv = String::from(
         "payload_mib,nprocs,direct_ms,staged_rank_ms,zc_rank_ms,\
          staged_overhead_ms,zc_overhead_ms,improvement,staged_copy_ms,\
@@ -237,16 +215,9 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, Stri
         t.render(),
         m.render(),
     );
-    let json = bench_json(&points);
-    (
-        Artifact {
-            name: "zerocopy",
-            text,
-            csv,
-        },
-        json,
-        clean,
-    )
+    let a = Artifact::new("zerocopy", text, Some(csv))
+        .with_file("BENCH_zerocopy.json", bench_json(&points));
+    (a, clean)
 }
 
 #[cfg(test)]
@@ -280,7 +251,8 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
-        let (_, json, _) = sweep(&Scenario::default(), 256, false);
+        let (a, _) = sweep(&Scenario::default(), 256, false);
+        let json = &a.files[0].1;
         assert!(json.contains("\"bench\": \"zerocopy\""));
         assert_eq!(json.matches("\"payload_mib\":").count(), PAYLOADS_MIB.len());
         assert!(json.contains("\"zerocopy_overhead_ms\""));

@@ -205,7 +205,8 @@ fn table3_golden_bit_identical_through_cluster() {
         std::fs::read_to_string("results/table3.csv").expect("golden results/table3.csv present");
     let artifact = repro::table3(&Scenario::default().with_cluster(PlacePolicy::BinPack), 1);
     assert_eq!(
-        artifact.csv, golden,
+        artifact.csv,
+        Some(golden),
         "table3 CSV drifted from the golden when routed through the cluster front-end"
     );
 }

@@ -264,7 +264,8 @@ fn table3_golden_bit_identical_under_default_mem_config() {
     let golden =
         std::fs::read_to_string("results/table3.csv").expect("golden results/table3.csv present");
     assert_eq!(
-        artifact.csv, golden,
+        artifact.csv,
+        Some(golden),
         "table3 CSV drifted from the checked-in golden"
     );
 }
