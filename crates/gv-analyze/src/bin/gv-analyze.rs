@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The default mode reads dump files produced by the harness (`--analyze
-//! --dump-trace`, see `repro_all`) or by [`gv_analyze::model::to_dump`],
+//! --dump-trace`, see `repro all`) or by [`gv_analyze::model::to_dump`],
 //! runs every checker, and prints one line per diagnostic. `--replay`
 //! re-executes a `.gvsched` schedule file (scenario + choice vector, as
 //! written by the explorer for a shrunk counterexample) through the live

@@ -355,12 +355,14 @@ mod tests {
                 time: t(10),
                 device: 0,
                 engine: 0,
+                stream: 1,
                 label: "cmd-4".into(),
             },
             AnalysisRecord::CopyBegin {
                 time: t(11),
                 device: 0,
                 engine: 0,
+                stream: 2,
                 label: "cmd-5".into(),
             },
             AnalysisRecord::CoalesceOp {

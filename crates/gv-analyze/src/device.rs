@@ -9,8 +9,9 @@
 //!   with a unified copy engine fold everything onto engine 0).
 //! * **Kernel window** — the number of concurrently-resident kernels never
 //!   exceeds the device's `max_concurrent_kernels` cap.
-//! * **Span pairing** — every begin has a matching end and the trace ends
-//!   with nothing in flight.
+//! * **Span pairing** — every transfer, kernel and context-switch begin has
+//!   a matching end, a device switches to one context at a time, and the
+//!   trace ends with nothing in flight.
 //! * **Allocation balance** — every allocation id is freed exactly once
 //!   and the trace ends with zero live bytes per device.
 
@@ -27,6 +28,8 @@ struct DeviceLint {
     engines: HashMap<u8, Vec<(String, SimTime)>>,
     /// Active kernel labels.
     kernels: Vec<(String, SimTime)>,
+    /// Context switch in progress: target context and start time.
+    switching: Option<(u32, SimTime)>,
     /// Live allocation id → bytes.
     live: HashMap<u64, u64>,
 }
@@ -56,6 +59,7 @@ pub fn check(records: &[AnalysisRecord]) -> Vec<Diagnostic> {
                 device,
                 engine,
                 label,
+                ..
             } => {
                 let active = devices
                     .entry(*device)
@@ -106,6 +110,7 @@ pub fn check(records: &[AnalysisRecord]) -> Vec<Diagnostic> {
                 time,
                 device,
                 label,
+                ..
             } => {
                 let lint = devices.entry(*device).or_default();
                 if let Some(cap) = lint.max_kernels {
@@ -139,6 +144,35 @@ pub fn check(records: &[AnalysisRecord]) -> Vec<Diagnostic> {
                         format!(
                             "device {device}: completion of kernel '{label}' without a matching \
                              launch"
+                        ),
+                    ),
+                }
+            }
+            AnalysisRecord::CtxSwitchBegin { time, device, ctx } => {
+                let lint = devices.entry(*device).or_default();
+                if let Some((other, since)) = lint.switching {
+                    diag(
+                        &mut diagnostics,
+                        *time,
+                        format!(
+                            "device {device}: switch to context {ctx} started while the switch \
+                             to context {other} (since {:.6}ms) is in progress",
+                            since.as_millis_f64()
+                        ),
+                    );
+                }
+                lint.switching = Some((*ctx, *time));
+            }
+            AnalysisRecord::CtxSwitchEnd { time, device, ctx } => {
+                let lint = devices.entry(*device).or_default();
+                match lint.switching {
+                    Some((open, _)) if open == *ctx => lint.switching = None,
+                    _ => diag(
+                        &mut diagnostics,
+                        *time,
+                        format!(
+                            "device {device}: completion of the switch to context {ctx} \
+                             without a matching start"
                         ),
                     ),
                 }
@@ -194,6 +228,13 @@ pub fn check(records: &[AnalysisRecord]) -> Vec<Diagnostic> {
                 format!("device {device}: kernel '{label}' never completed"),
             );
         }
+        if let Some((ctx, since)) = lint.switching {
+            diag(
+                &mut diagnostics,
+                since,
+                format!("device {device}: switch to context {ctx} never completed"),
+            );
+        }
         if !lint.live.is_empty() {
             let mut ids: Vec<_> = lint.live.iter().map(|(id, b)| (*id, *b)).collect();
             ids.sort_unstable();
@@ -230,6 +271,7 @@ mod tests {
             time: SimTime::from_nanos(t),
             device: 0,
             engine,
+            stream: 1,
             label: label.to_string(),
         }
     }
@@ -247,6 +289,7 @@ mod tests {
         AnalysisRecord::KernelBegin {
             time: SimTime::from_nanos(t),
             device: 0,
+            stream: 1,
             label: label.to_string(),
         }
     }
@@ -327,6 +370,52 @@ mod tests {
         let d = check(&recs);
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("never completed"));
+    }
+
+    fn switch(t: u64, begin: bool, ctx: u32) -> AnalysisRecord {
+        let time = SimTime::from_nanos(t);
+        if begin {
+            AnalysisRecord::CtxSwitchBegin {
+                time,
+                device: 0,
+                ctx,
+            }
+        } else {
+            AnalysisRecord::CtxSwitchEnd {
+                time,
+                device: 0,
+                ctx,
+            }
+        }
+    }
+
+    #[test]
+    fn paired_context_switches_pass() {
+        let recs = vec![
+            reg(0, 4),
+            switch(1, true, 2),
+            switch(2, false, 2),
+            switch(3, true, 1),
+            switch(4, false, 1),
+        ];
+        assert!(check(&recs).is_empty());
+    }
+
+    #[test]
+    fn misnested_context_switches_flagged() {
+        let recs = vec![
+            reg(0, 4),
+            switch(1, true, 2),
+            switch(2, true, 3),
+            switch(3, false, 2),
+        ];
+        let d = check(&recs);
+        assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d[0]
+            .message
+            .contains("started while the switch to context 2"));
+        assert!(d[1].message.contains("context 2 without a matching start"));
+        assert!(d[2].message.contains("context 3 never completed"));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   consistency of joint flushes, and eviction semantics.
 //! * [`device`] — device-invariant checking over GPU engine events: copy
 //!   engines serve one transfer at a time, the concurrent-kernel window
-//!   never exceeds the device cap, and allocations balance to zero.
+//!   never exceeds the device cap, every transfer, kernel and context
+//!   switch that begins also ends, and allocations balance to zero.
 //! * [`staging`] — buffer-lifecycle invariants over the `gv-mem` layer's
 //!   records: chunk spans tile their payload exactly once, and a pooled
 //!   staging buffer is never recycled while a copy referencing it is in
@@ -190,6 +191,11 @@ pub fn analyze(records: &[AnalysisRecord]) -> Report {
             | AnalysisRecord::Deadlock { .. }
             | AnalysisRecord::NotifyLost { .. }
             | AnalysisRecord::RunEnd { .. } => report.sched_events += 1,
+            // Checked (switches) or carried for the timeline (faults), but
+            // uncounted, so summaries compare with traces that predate them.
+            AnalysisRecord::CtxSwitchBegin { .. }
+            | AnalysisRecord::CtxSwitchEnd { .. }
+            | AnalysisRecord::Fault { .. } => {}
         }
     }
     report.diagnostics.extend(race::check(records));

@@ -12,10 +12,12 @@
 //! proto t=2002000 rank=0 seq=1 kind=REQ gvm=gvm
 //! flush t=4000000 ranks=0,1,2 gvm=gvm
 //! evict t=9000000 rank=1 gvm=gvm
-//! copyb t=100 dev=0 eng=0 label=cmd-7
+//! copyb t=100 dev=0 eng=0 stream=2 label=cmd-7
 //! copye t=200 dev=0 eng=0 label=cmd-7
-//! kernb t=300 dev=0 label=vecadd-3
+//! kernb t=300 dev=0 stream=2 label=vecadd-3
 //! kerne t=400 dev=0 label=vecadd-3
+//! ctxb t=410 dev=0 ctx=1
+//! ctxe t=420 dev=0 ctx=1
 //! alloc t=50 dev=0 id=1 bytes=4096
 //! free t=500 dev=0 id=1
 //! poolacq t=60 buf=3 bytes=8192 hit=1
@@ -33,6 +35,7 @@
 //! dlwait t=900 pid=2 kind=recv holders=1 proc=spmd-0 res=/gvm-req
 //! dlock t=900 cycle=1,2,1
 //! nlost t=850 res=ready-cq
+//! fault t=950 label=evict:rank1
 //! runend t=1000 completed=0 deadlocked=1
 //! ```
 //!
@@ -179,11 +182,12 @@ pub fn to_dump(records: &[AnalysisRecord]) -> String {
                 time,
                 device,
                 engine,
+                stream,
                 label,
             } => {
                 let _ = writeln!(
                     out,
-                    "copyb t={} dev={device} eng={engine} label={}",
+                    "copyb t={} dev={device} eng={engine} stream={stream} label={}",
                     time.as_nanos(),
                     esc(label)
                 );
@@ -204,11 +208,12 @@ pub fn to_dump(records: &[AnalysisRecord]) -> String {
             AnalysisRecord::KernelBegin {
                 time,
                 device,
+                stream,
                 label,
             } => {
                 let _ = writeln!(
                     out,
-                    "kernb t={} dev={device} label={}",
+                    "kernb t={} dev={device} stream={stream} label={}",
                     time.as_nanos(),
                     esc(label)
                 );
@@ -224,6 +229,15 @@ pub fn to_dump(records: &[AnalysisRecord]) -> String {
                     time.as_nanos(),
                     esc(label)
                 );
+            }
+            AnalysisRecord::CtxSwitchBegin { time, device, ctx } => {
+                let _ = writeln!(out, "ctxb t={} dev={device} ctx={ctx}", time.as_nanos());
+            }
+            AnalysisRecord::CtxSwitchEnd { time, device, ctx } => {
+                let _ = writeln!(out, "ctxe t={} dev={device} ctx={ctx}", time.as_nanos());
+            }
+            AnalysisRecord::Fault { time, label } => {
+                let _ = writeln!(out, "fault t={} label={}", time.as_nanos(), esc(label));
             }
             AnalysisRecord::Alloc {
                 time,
@@ -663,6 +677,7 @@ pub fn parse_dump(text: &str) -> Result<Vec<AnalysisRecord>, DumpParseError> {
                 time: f.time()?,
                 device: f.num("dev")?,
                 engine: f.num("eng")?,
+                stream: f.num("stream")?,
                 label: unesc(f.get("label")?),
             },
             "copye" => AnalysisRecord::CopyEnd {
@@ -674,11 +689,26 @@ pub fn parse_dump(text: &str) -> Result<Vec<AnalysisRecord>, DumpParseError> {
             "kernb" => AnalysisRecord::KernelBegin {
                 time: f.time()?,
                 device: f.num("dev")?,
+                stream: f.num("stream")?,
                 label: unesc(f.get("label")?),
             },
             "kerne" => AnalysisRecord::KernelEnd {
                 time: f.time()?,
                 device: f.num("dev")?,
+                label: unesc(f.get("label")?),
+            },
+            "ctxb" => AnalysisRecord::CtxSwitchBegin {
+                time: f.time()?,
+                device: f.num("dev")?,
+                ctx: f.num("ctx")?,
+            },
+            "ctxe" => AnalysisRecord::CtxSwitchEnd {
+                time: f.time()?,
+                device: f.num("dev")?,
+                ctx: f.num("ctx")?,
+            },
+            "fault" => AnalysisRecord::Fault {
+                time: f.time()?,
                 label: unesc(f.get("label")?),
             },
             "alloc" => AnalysisRecord::Alloc {
@@ -968,6 +998,7 @@ mod tests {
                 time: SimTime::from_nanos(40),
                 device: 0,
                 engine: 1,
+                stream: 4,
                 label: "cmd-9".to_string(),
             },
             AnalysisRecord::CopyEnd {
@@ -979,12 +1010,27 @@ mod tests {
             AnalysisRecord::KernelBegin {
                 time: SimTime::from_nanos(60),
                 device: 0,
+                stream: 4,
                 label: "vecadd-3".to_string(),
             },
             AnalysisRecord::KernelEnd {
                 time: SimTime::from_nanos(70),
                 device: 0,
                 label: "vecadd-3".to_string(),
+            },
+            AnalysisRecord::CtxSwitchBegin {
+                time: SimTime::from_nanos(72),
+                device: 0,
+                ctx: 2,
+            },
+            AnalysisRecord::CtxSwitchEnd {
+                time: SimTime::from_nanos(74),
+                device: 0,
+                ctx: 2,
+            },
+            AnalysisRecord::Fault {
+                time: SimTime::from_nanos(76),
+                label: "mq-drop:/gvm req#0".to_string(), // space exercises escaping
             },
             AnalysisRecord::Alloc {
                 time: SimTime::from_nanos(80),

@@ -73,8 +73,6 @@ fn clean_run_reports_zero_diagnostics() {
         "conformance linter saw no receipts"
     );
     assert!(report.device_events > 0, "device checker saw no events");
-    // Satellite check: the begin/end event stream is also well-paired.
-    assert!(tracer.validate_spans().is_empty());
 }
 
 /// Fault-tolerant run where one rank dies before ever connecting: the GVM
@@ -266,8 +264,8 @@ fn golden_copy_engine_overlap_dump_yields_one_device_diagnostic() {
 gv-analyze-trace v1
 # seeded violation: cmd-2 starts on engine 0 while cmd-1 is still active
 device dev=0 maxk=16
-copyb t=1000 dev=0 eng=0 label=cmd-1
-copyb t=2000 dev=0 eng=0 label=cmd-2
+copyb t=1000 dev=0 eng=0 stream=1 label=cmd-1
+copyb t=2000 dev=0 eng=0 stream=2 label=cmd-2
 copye t=3000 dev=0 eng=0 label=cmd-1
 copye t=4000 dev=0 eng=0 label=cmd-2
 ";
@@ -283,6 +281,31 @@ copye t=4000 dev=0 eng=0 label=cmd-2
     assert_eq!(d.checker, "device");
     assert!(
         d.message.contains("'cmd-2' started while 'cmd-1'"),
+        "unexpected message: {}",
+        d.message
+    );
+}
+
+/// Seeded fixture: a context switch that starts and never completes. The
+/// device checker owns span pairing, so the offline path reports exactly
+/// one device diagnostic.
+#[test]
+fn golden_unterminated_context_switch_dump_yields_one_device_diagnostic() {
+    let dump = "\
+gv-analyze-trace v1
+# seeded violation: the switch to context 2 never completes
+device dev=0 maxk=16
+ctxb t=1000 dev=0 ctx=1
+ctxe t=2000 dev=0 ctx=1
+ctxb t=3000 dev=0 ctx=2
+";
+    let records = gv_analyze::model::parse_dump(dump).unwrap();
+    let report = gv_analyze::analyze(&records);
+    assert_eq!(report.diagnostics.len(), 1, "{}", report.render());
+    let d = &report.diagnostics[0];
+    assert_eq!(d.checker, "device");
+    assert!(
+        d.message.contains("switch to context 2 never completed"),
         "unexpected message: {}",
         d.message
     );
@@ -322,7 +345,6 @@ proptest! {
         let tracer = clean_gvm_run(nranks, elems);
         let report = gv_analyze::analyze_tracer(&tracer);
         prop_assert!(report.is_clean(), "diagnostics:\n{}", report.render());
-        prop_assert!(tracer.validate_spans().is_empty());
     }
 }
 

@@ -381,10 +381,10 @@ impl SchedState {
     }
 
     /// One scheduling step at time `now`. Returns gates to open (outside
-    /// the lock) and the next internal event time, if any. Engine activity
-    /// is recorded as spans on `tracer` (no-ops while tracing is off):
-    /// category `"h2d"`/`"d2h"` for DMA transfers, `"kernel"` for kernel
-    /// residency in the window, `"ctx-switch"` for switch intervals.
+    /// the lock) and the next internal event time, if any. While `tracer`
+    /// records, every DMA transfer, kernel residency and context switch
+    /// emits a begin and an end [`AnalysisRecord`]; while it does not,
+    /// no record (and no label) is built.
     pub(crate) fn step(
         &mut self,
         cfg: &DeviceConfig,
@@ -401,7 +401,13 @@ impl SchedState {
                 self.switching = None;
                 self.stats.ctx_switches += 1;
                 self.last_activity = now;
-                tracer.end(now, "ctx-switch", format!("to-ctx-{}", target.0), 0);
+                if tracer.analysis_enabled() {
+                    tracer.record_analysis(AnalysisRecord::CtxSwitchEnd {
+                        time: now,
+                        device: self.dev_ord,
+                        ctx: target.0,
+                    });
+                }
             }
         }
 
@@ -456,25 +462,20 @@ impl SchedState {
                     }
                     _ => {}
                 }
-                let _ = dir;
                 match &cmd.kind {
                     CommandKind::CopyH2D { .. } => self.stats.h2d_transfers += 1,
                     CommandKind::CopyD2H { .. } => self.stats.d2h_transfers += 1,
                     CommandKind::CopyD2D { .. } => self.stats.d2d_transfers += 1,
                     CommandKind::Kernel(_) => unreachable!("DMA engine held a kernel"),
                 }
-                let category = if matches!(cmd.kind, CommandKind::CopyH2D { .. }) {
-                    "h2d"
-                } else {
-                    "d2h"
-                };
-                tracer.end(now, category, format!("cmd-{}", cmd.id), cmd.stream.0);
-                tracer.record_analysis(AnalysisRecord::CopyEnd {
-                    time: now,
-                    device: self.dev_ord,
-                    engine: if dir { 0 } else { 1 },
-                    label: format!("cmd-{}", cmd.id),
-                });
+                if tracer.analysis_enabled() {
+                    tracer.record_analysis(AnalysisRecord::CopyEnd {
+                        time: now,
+                        device: self.dev_ord,
+                        engine: if dir { 0 } else { 1 },
+                        label: format!("cmd-{}", cmd.id),
+                    });
+                }
                 self.streams
                     .get_mut(&cmd.stream)
                     .expect("stream exists")
@@ -509,17 +510,13 @@ impl SchedState {
                 if let Some(body) = &k.body {
                     body(&mut memory.lock());
                 }
-                tracer.end(
-                    now,
-                    "kernel",
-                    format!("{}-{}", k.name, rk.seq),
-                    rk.cmd.stream.0,
-                );
-                tracer.record_analysis(AnalysisRecord::KernelEnd {
-                    time: now,
-                    device: self.dev_ord,
-                    label: format!("{}-{}", k.name, rk.seq),
-                });
+                if tracer.analysis_enabled() {
+                    tracer.record_analysis(AnalysisRecord::KernelEnd {
+                        time: now,
+                        device: self.dev_ord,
+                        label: format!("{}-{}", k.name, rk.seq),
+                    });
+                }
             }
             self.stats.kernels_completed += 1;
             self.streams
@@ -573,12 +570,14 @@ impl SchedState {
                         CommandKind::Kernel(k) => {
                             let seq = self.next_kernel_seq;
                             self.next_kernel_seq += 1;
-                            tracer.begin(now, "kernel", format!("{}-{seq}", k.name), cmd.stream.0);
-                            tracer.record_analysis(AnalysisRecord::KernelBegin {
-                                time: now,
-                                device: self.dev_ord,
-                                label: format!("{}-{seq}", k.name),
-                            });
+                            if tracer.analysis_enabled() {
+                                tracer.record_analysis(AnalysisRecord::KernelBegin {
+                                    time: now,
+                                    device: self.dev_ord,
+                                    stream: cmd.stream.0,
+                                    label: format!("{}-{seq}", k.name),
+                                });
+                            }
                             let blocks = k.grid_blocks;
                             self.window.push(RunningKernel {
                                 seq,
@@ -596,13 +595,15 @@ impl SchedState {
                                 self.stats.fused_dma_ops += 1;
                                 self.stats.fused_dma_saved += cfg.dma_latency;
                             }
-                            tracer.begin(now, "h2d", format!("cmd-{}", cmd.id), cmd.stream.0);
-                            tracer.record_analysis(AnalysisRecord::CopyBegin {
-                                time: now,
-                                device: self.dev_ord,
-                                engine: 0,
-                                label: format!("cmd-{}", cmd.id),
-                            });
+                            if tracer.analysis_enabled() {
+                                tracer.record_analysis(AnalysisRecord::CopyBegin {
+                                    time: now,
+                                    device: self.dev_ord,
+                                    engine: 0,
+                                    stream: cmd.stream.0,
+                                    label: format!("cmd-{}", cmd.id),
+                                });
+                            }
                             self.h2d.busy_until = now + t;
                             self.h2d.busy_total += t;
                             self.stats.h2d_busy += t;
@@ -614,13 +615,15 @@ impl SchedState {
                                 + SimDuration::from_secs_f64(
                                     2.0 * *bytes as f64 / cfg.dram_bytes_per_sec(),
                                 );
-                            tracer.begin(now, "d2h", format!("cmd-{}", cmd.id), cmd.stream.0);
-                            tracer.record_analysis(AnalysisRecord::CopyBegin {
-                                time: now,
-                                device: self.dev_ord,
-                                engine: if cfg.unified_copy_engine { 0 } else { 1 },
-                                label: format!("cmd-{}", cmd.id),
-                            });
+                            if tracer.analysis_enabled() {
+                                tracer.record_analysis(AnalysisRecord::CopyBegin {
+                                    time: now,
+                                    device: self.dev_ord,
+                                    engine: if cfg.unified_copy_engine { 0 } else { 1 },
+                                    stream: cmd.stream.0,
+                                    label: format!("cmd-{}", cmd.id),
+                                });
+                            }
                             let engine = if cfg.unified_copy_engine {
                                 &mut self.h2d
                             } else {
@@ -642,13 +645,15 @@ impl SchedState {
                                 self.stats.fused_dma_ops += 1;
                                 self.stats.fused_dma_saved += cfg.dma_latency;
                             }
-                            tracer.begin(now, "d2h", format!("cmd-{}", cmd.id), cmd.stream.0);
-                            tracer.record_analysis(AnalysisRecord::CopyBegin {
-                                time: now,
-                                device: self.dev_ord,
-                                engine: if cfg.unified_copy_engine { 0 } else { 1 },
-                                label: format!("cmd-{}", cmd.id),
-                            });
+                            if tracer.analysis_enabled() {
+                                tracer.record_analysis(AnalysisRecord::CopyBegin {
+                                    time: now,
+                                    device: self.dev_ord,
+                                    engine: if cfg.unified_copy_engine { 0 } else { 1 },
+                                    stream: cmd.stream.0,
+                                    label: format!("cmd-{}", cmd.id),
+                                });
+                            }
                             let engine = if cfg.unified_copy_engine {
                                 &mut self.h2d
                             } else {
@@ -683,7 +688,13 @@ impl SchedState {
                             .get(&target)
                             .expect("context exists")
                             .switch_cost;
-                        tracer.begin(now, "ctx-switch", format!("to-ctx-{}", target.0), 0);
+                        if tracer.analysis_enabled() {
+                            tracer.record_analysis(AnalysisRecord::CtxSwitchBegin {
+                                time: now,
+                                device: self.dev_ord,
+                                ctx: target.0,
+                            });
+                        }
                         self.switching = Some((target, now + cost));
                         self.stats.ctx_switch_time += cost;
                     } else {

@@ -14,6 +14,7 @@ use gv_model::{ExecutionProfile, SpeedupModel};
 use crate::profile::{self, MeasuredProfile};
 use crate::report::{ms, pct, x, Artifact, Report, TextTable};
 use crate::scenario::{ExecutionMode, Scenario};
+use crate::timeline;
 use crate::turnaround::{self, TurnaroundConfig};
 use crate::{
     ablation, analysis, cluster, coalesce, explore, ft, overhead, pipeline, quota, remote_compare,
@@ -377,7 +378,8 @@ pub fn fig4_6(scale_down: u32) -> Artifact {
             ExecutionMode::Direct => "direct",
             ExecutionMode::Virtualized => "gvm",
         };
-        files.push((format!("trace_{id:?}_{tag}.json"), tracer.to_chrome_trace()));
+        let chrome = timeline::chrome_trace(&tracer.analysis_snapshot());
+        files.push((format!("trace_{id:?}_{tag}.json"), chrome));
         let tl = r.timeline.as_ref().expect("traced scenario");
         parts.push(format!(
             "{title}\n({} processes, {}, turnaround {:.1} ms)\n\n{}\n\
@@ -423,16 +425,21 @@ pub struct Opts {
 
 impl Opts {
     /// Parse the arguments after the program name. The error is a
-    /// one-line description of the first unusable argument.
+    /// one-line description of the first unusable argument, or of a flag
+    /// the chosen experiment would ignore.
     pub fn parse<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Result<Opts, String> {
         let mut o = Opts {
             scale: 1,
             ..Opts::default()
         };
         let mut quick = false;
+        let mut explore_flag = None;
         let mut args = args.into_iter().map(Into::into);
         while let Some(arg) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+            if EXPLORE_FLAGS.contains(&arg.as_str()) {
+                explore_flag.get_or_insert_with(|| arg.clone());
+            }
             match arg.as_str() {
                 "--quick" => quick = true,
                 "--scale" => o.scale = positive(&arg, value()?)?,
@@ -469,6 +476,15 @@ impl Opts {
         if find(&o.name).is_none() {
             return Err(format!("unknown experiment '{}'", o.name));
         }
+        if o.analyze && !ANALYZED.contains(&o.name.as_str()) {
+            return Err(format!("--analyze does not apply to '{}'", o.name));
+        }
+        if let Some(flag) = explore_flag.filter(|_| o.name != "explore") {
+            return Err(format!("{flag} applies only to 'explore'"));
+        }
+        if o.dump_trace && !(o.name == "all" && o.analyze) {
+            return Err("--dump-trace needs `all --analyze`".into());
+        }
         if let Some(s) = o.scenarios.iter().find(|s| find_scenario(s).is_none()) {
             let have: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
             return Err(format!("unknown scenario '{s}' (have: {have:?})"));
@@ -479,6 +495,23 @@ impl Opts {
         Ok(o)
     }
 }
+
+/// The experiments `--analyze` gates on the trace checkers.
+const ANALYZED: [&str; 7] = [
+    "all", "sched", "pipeline", "cluster", "quota", "zerocopy", "coalesce",
+];
+
+/// The flags only `explore` reads.
+const EXPLORE_FLAGS: [&str; 8] = [
+    "--scenario",
+    "--budget",
+    "--pb",
+    "--seed",
+    "--mode",
+    "--no-por",
+    "--expect-bug",
+    "--replay",
+];
 
 /// A flag's value as a positive integer.
 fn positive<T: std::str::FromStr + Default + PartialEq>(
@@ -597,13 +630,14 @@ pub fn help() -> String {
          --quick           shrink every cost 64x (overrides --scale)\n\
          --scale N         shrink every cost Nx (default 1: paper-sized)\n\
          --analyze         check traces with gv-analyze, exit 1 on any diagnostic\n\
-         \x20                 (all, sched, pipeline, cluster, quota, zerocopy, coalesce)\n\
+         \x20                 ({})\n\
          --dump-trace      with `all --analyze`: save results/trace-*.gvtrace\n\
          fig11_15 <name>   one application (mm|mg|blackscholes|cg|electrostatics)\n\n\
          explore [--scenario a,b,...] [--budget N] [--pb N] [--seed N]\n\
          \x20       [--mode dfs|random] [--no-por] [--expect-bug]\n\
          explore --replay <file.gvsched>\n",
-        names.join(", ")
+        names.join(", "),
+        ANALYZED.join(", ")
     )
 }
 
@@ -698,6 +732,14 @@ mod tests {
             ("explore --mode bfs", "unknown --mode 'bfs'"),
             ("explore --scenario nosuch", "unknown scenario 'nosuch'"),
             ("table3 --analyse", "unknown flag '--analyse'"),
+            ("table3 --analyze", "--analyze does not apply to 'table3'"),
+            ("fig9 --budget 5", "--budget applies only to 'explore'"),
+            (
+                "ft --replay x.gvsched",
+                "--replay applies only to 'explore'",
+            ),
+            ("all --dump-trace", "--dump-trace needs `all --analyze`"),
+            ("sched --analyze --dump-trace", "--dump-trace needs"),
             ("nosuch", "unknown experiment 'nosuch'"),
             ("", "missing experiment name"),
             ("--quick", "missing experiment name"),

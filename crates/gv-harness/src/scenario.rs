@@ -104,7 +104,8 @@ pub struct Scenario {
     pub device: DeviceConfig,
     /// Node model (defaults to the paper's dual-Xeon node).
     pub node: NodeConfig,
-    /// Record engine timelines (costs one mutex op per engine event).
+    /// Record the trace and derive the engine timeline from it. Turns on
+    /// the same recording as `analyze`, without running the checkers.
     pub trace: bool,
     /// Record analysis events (vector clocks, protocol receipts, device
     /// events) and run the `gv-analyze` checkers after the simulation.
@@ -235,8 +236,7 @@ impl Scenario {
         assert!(n >= 1, "at least one process");
         let mut sim = Simulation::new();
         let tracer = sim.tracer();
-        tracer.set_enabled(self.trace);
-        tracer.set_analysis(self.analyze);
+        tracer.set_analysis(self.trace || self.analyze);
         if let Some(oracle) = &self.oracle {
             sim.set_oracle(oracle.clone());
         }
@@ -361,7 +361,9 @@ impl Scenario {
                 .map(|ch| ch.stats().gvm)
                 .or_else(|| gvm_handle.map(|h| h.stats.lock().clone())),
             outputs,
-            timeline: self.trace.then(|| Timeline::from_tracer(&tracer)),
+            timeline: self
+                .trace
+                .then(|| Timeline::from_records(&tracer.analysis_snapshot())),
             analysis: self.analyze.then(|| gv_analyze::analyze_tracer(&tracer)),
             tracer: (self.trace || self.analyze).then_some(tracer),
         })

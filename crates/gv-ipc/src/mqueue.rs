@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn armed_drop_swallows_exactly_that_send() {
         let mut sim = Simulation::new();
-        sim.tracer().set_enabled(true);
+        sim.tracer().set_analysis(true);
         let tracer = sim.tracer().clone();
         let reg: MqRegistry<u32> = MqRegistry::new(&NodeConfig::test_tiny());
         let q = reg.create("/drop", None).unwrap();
@@ -431,7 +431,7 @@ mod tests {
         sim.run().unwrap();
         let faults = tracer.fault_events();
         assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].label, "mq-drop:/drop#1");
+        assert_eq!(faults[0].1, "mq-drop:/drop#1");
     }
 
     #[test]
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn prepaid_send_skips_latency_but_faults_still_fire() {
         let mut sim = Simulation::new();
-        sim.tracer().set_enabled(true);
+        sim.tracer().set_analysis(true);
         let tracer = sim.tracer().clone();
         let reg: MqRegistry<u32> = MqRegistry::new(&NodeConfig::test_tiny());
         let q = reg.create("/pp", None).unwrap();
@@ -512,7 +512,7 @@ mod tests {
         sim.run().unwrap();
         let faults = tracer.fault_events();
         assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].label, "mq-drop:/pp#1");
+        assert_eq!(faults[0].1, "mq-drop:/pp#1");
     }
 
     #[test]

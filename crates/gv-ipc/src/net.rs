@@ -54,8 +54,8 @@ impl NetworkLink {
     pub fn new(config: LinkConfig) -> Self {
         NetworkLink {
             config,
-            forward: FifoServer::new("net-fwd", 1),
-            reverse: FifoServer::new("net-rev", 1),
+            forward: FifoServer::new(1),
+            reverse: FifoServer::new(1),
         }
     }
 

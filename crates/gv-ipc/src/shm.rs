@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn armed_corruption_flips_exactly_that_write() {
         let mut sim = Simulation::new();
-        sim.tracer().set_enabled(true);
+        sim.tracer().set_analysis(true);
         let tracer = sim.tracer().clone();
         let reg = registry();
         // Armed through the registry before the segment exists.
@@ -558,8 +558,8 @@ mod tests {
         assert_eq!(faults.len(), 1);
         // The label carries the segment name so multi-segment fault
         // schedules stay attributable.
-        assert_eq!(faults[0].label, "shm-corrupt:/cor#1");
-        assert!(faults[0].label.contains("/cor"));
+        assert_eq!(faults[0].1, "shm-corrupt:/cor#1");
+        assert!(faults[0].1.contains("/cor"));
     }
 
     #[test]
@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn backed_segment_corruption_fires_in_backing() {
         let mut sim = Simulation::new();
-        sim.tracer().set_enabled(true);
+        sim.tracer().set_analysis(true);
         let tracer = sim.tracer().clone();
         let reg = registry();
         reg.arm_corrupt("/bl", 0);
@@ -652,6 +652,6 @@ mod tests {
         sim.run().unwrap();
         let faults = tracer.fault_events();
         assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].label, "shm-corrupt:/bl#0");
+        assert_eq!(faults[0].1, "shm-corrupt:/bl#0");
     }
 }

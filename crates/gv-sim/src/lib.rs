@@ -27,7 +27,7 @@
 //! * [`sync`] — semaphores, condition queues, barriers, gates
 //! * [`channel`] — blocking MPMC channels
 //! * [`resource`] — FIFO servers with utilization accounting
-//! * [`trace`] — timeline recording for overlap audits
+//! * [`trace`] — the one trace record stream (analysis, timelines, faults)
 //! * [`clock`] — vector clocks for happens-before analysis
 //! * [`oracle`] — pluggable scheduling oracles (record / replay / explore)
 
@@ -57,4 +57,4 @@ pub use process::Ctx;
 pub use resource::FifoServer;
 pub use sync::{CondQueue, Gate, Semaphore, SimBarrier};
 pub use time::{SimDuration, SimTime};
-pub use trace::{AnalysisRecord, Span, SpanIssue, TraceEvent, TraceKind, Tracer, FAULT_CATEGORY};
+pub use trace::{AnalysisRecord, Tracer};

@@ -28,24 +28,17 @@ pub struct FifoServer {
     sem: Semaphore,
     capacity: usize,
     stats: Arc<Mutex<ServerStats>>,
-    name: &'static str,
 }
 
 impl FifoServer {
     /// A server able to process `capacity` requests concurrently.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1);
         FifoServer {
             sem: Semaphore::new(capacity),
             capacity,
             stats: Arc::new(Mutex::new(ServerStats::default())),
-            name,
         }
-    }
-
-    /// The server's name (for traces).
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Concurrency limit.
@@ -57,11 +50,8 @@ impl FifoServer {
     /// behind earlier requests. Returns the completion time.
     pub fn serve(&self, ctx: &mut Ctx, service: SimDuration) -> SimTime {
         self.sem.acquire(ctx);
-        let start = ctx.now();
-        ctx.tracer().begin(start, self.name, ctx.name(), 0);
         ctx.hold(service);
         let end = ctx.now();
-        ctx.tracer().end(end, self.name, ctx.name(), 0);
         {
             let mut st = self.stats.lock();
             st.busy += service;
@@ -104,7 +94,7 @@ mod tests {
     #[test]
     fn single_server_serializes_fifo() {
         let mut sim = Simulation::new();
-        let server = FifoServer::new("dma", 1);
+        let server = FifoServer::new(1);
         let ends = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3u64 {
             let server = server.clone();
@@ -125,7 +115,7 @@ mod tests {
     #[test]
     fn dual_server_overlaps_two_requests() {
         let mut sim = Simulation::new();
-        let server = FifoServer::new("dma2", 2);
+        let server = FifoServer::new(2);
         for i in 0..4u64 {
             let server = server.clone();
             sim.spawn(&format!("req{i}"), move |ctx| {
@@ -140,7 +130,7 @@ mod tests {
 
     #[test]
     fn utilization_at_zero_horizon_is_zero() {
-        let server = FifoServer::new("idle", 1);
+        let server = FifoServer::new(1);
         assert_eq!(server.utilization(SimTime::ZERO), 0.0);
     }
 }

@@ -1,12 +1,14 @@
-//! Timeline recording.
+//! Trace recording: one stream of [`AnalysisRecord`]s.
 //!
-//! A [`Tracer`] collects timestamped events (instants and begin/end spans)
-//! from anywhere in the simulation. The harness uses it to reconstruct
-//! engine occupancy Gantt charts and to audit overlap (e.g. "did the H2D
-//! copy of process 2 overlap kernel execution of process 1?").
+//! A [`Tracer`] collects the records every instrumented layer emits —
+//! shared-memory accesses, protocol receipts, device engine spans, staging
+//! and placement events, injected faults. `gv-analyze` checks the stream;
+//! the harness derives engine timelines and Chrome traces from it; the
+//! fault-injection tests read its [`AnalysisRecord::Fault`] markers.
 //!
-//! Recording is disabled by default; enabling costs one mutex acquisition
-//! per event.
+//! Recording is off by default. While off, an emitter costs one relaxed
+//! atomic load and builds nothing; while on, each record costs one mutex
+//! acquisition plus its own fields.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,74 +18,6 @@ use parking_lot::Mutex;
 use crate::clock::VClock;
 use crate::kernel::{Pid, WaitKind};
 use crate::time::SimTime;
-
-/// Category under which injected-fault and recovery events are recorded
-/// (see [`Tracer::fault`]).
-pub const FAULT_CATEGORY: &str = "fault";
-
-/// What kind of event a trace record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A point event.
-    Instant,
-    /// Start of an activity span.
-    Begin,
-    /// End of an activity span.
-    End,
-}
-
-/// One recorded event.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Simulated timestamp.
-    pub time: SimTime,
-    /// Monotonic record sequence number, unique per tracer. Events with
-    /// equal timestamps have a stable `(time, seq)` order equal to the
-    /// order they were recorded in.
-    pub seq: u64,
-    /// Coarse category, e.g. `"h2d"`, `"kernel"`, `"gvm"`.
-    pub category: &'static str,
-    /// Free-form label, e.g. a kernel or process name.
-    pub label: String,
-    /// Point event or span boundary.
-    pub kind: TraceKind,
-    /// Track identifier grouping related events (engine id, process index).
-    pub track: u32,
-}
-
-/// A structural defect found by [`Tracer::validate_spans`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanIssue {
-    /// Category of the offending event.
-    pub category: &'static str,
-    /// Label of the offending event.
-    pub label: String,
-    /// Track of the offending event.
-    pub track: u32,
-    /// Timestamp of the offending event.
-    pub time: SimTime,
-    /// `true`: a `Begin` that never saw a matching `End`;
-    /// `false`: an `End` with no open `Begin` on the same `(track, label)`.
-    pub unmatched_begin: bool,
-}
-
-impl std::fmt::Display for SpanIssue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let what = if self.unmatched_begin {
-            "Begin without matching End"
-        } else {
-            "End without matching Begin"
-        };
-        write!(
-            f,
-            "{what}: {}/{} track {} at {:.6} ms",
-            self.category,
-            self.label,
-            self.track,
-            self.time.as_millis_f64()
-        )
-    }
-}
 
 /// A happens-before/protocol/device record emitted by the instrumented
 /// layers while [analysis recording](Tracer::set_analysis) is on. These are
@@ -174,6 +108,8 @@ pub enum AnalysisRecord {
         device: u32,
         /// Engine index: 0 = H2D engine, 1 = dedicated D2H engine.
         engine: u8,
+        /// Stream the command was issued on.
+        stream: u32,
         /// Command label (e.g. `"cmd-7"`).
         label: String,
     },
@@ -194,6 +130,8 @@ pub enum AnalysisRecord {
         time: SimTime,
         /// Device ordinal.
         device: u32,
+        /// Stream the kernel was launched on.
+        stream: u32,
         /// Kernel label (e.g. `"vecadd-3"`).
         label: String,
     },
@@ -205,6 +143,24 @@ pub enum AnalysisRecord {
         device: u32,
         /// Kernel label (e.g. `"vecadd-3"`).
         label: String,
+    },
+    /// The device began switching to another context.
+    CtxSwitchBegin {
+        /// Simulated start time.
+        time: SimTime,
+        /// Device ordinal.
+        device: u32,
+        /// The context being switched to.
+        ctx: u32,
+    },
+    /// A context switch completed; `ctx` is now the device's context.
+    CtxSwitchEnd {
+        /// Simulated completion time.
+        time: SimTime,
+        /// Device ordinal.
+        device: u32,
+        /// The context switched to.
+        ctx: u32,
     },
     /// A device allocation succeeded.
     Alloc {
@@ -528,6 +484,13 @@ pub enum AnalysisRecord {
         /// The condition queue's resource label.
         resource: String,
     },
+    /// An injected fault or a recovery action (see [`Tracer::fault`]).
+    Fault {
+        /// Simulated time of the event.
+        time: SimTime,
+        /// What happened, e.g. `"mq-drop:/gvm-req#0"` or `"evict:rank1"`.
+        label: String,
+    },
     /// The run ended. Whole-trace checkers that reason about terminal state
     /// (liveness) gate on this record so partially-dumped traces stay
     /// silent.
@@ -543,14 +506,9 @@ pub enum AnalysisRecord {
 
 struct Inner {
     enabled: AtomicBool,
-    events: Mutex<Vec<TraceEvent>>,
-    seq: AtomicU64,
-    /// Happens-before / protocol / device analysis recording (independent
-    /// of `enabled`; costs vector-clock maintenance across the kernel).
-    analysis: AtomicBool,
     records: Mutex<Vec<AnalysisRecord>>,
     /// Engine clock mirror so layers without a `Ctx` (host-side allocator
-    /// calls) can still timestamp analysis records.
+    /// calls) can still timestamp records.
     now_ns: AtomicU64,
     devices: AtomicU64,
     /// Run-global transfer-group id allocator (see
@@ -579,9 +537,6 @@ impl Tracer {
         Tracer {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(false),
-                events: Mutex::new(Vec::new()),
-                seq: AtomicU64::new(0),
-                analysis: AtomicBool::new(false),
                 records: Mutex::new(Vec::new()),
                 now_ns: AtomicU64::new(0),
                 devices: AtomicU64::new(0),
@@ -591,29 +546,18 @@ impl Tracer {
         }
     }
 
-    /// Turn recording on or off.
-    pub fn set_enabled(&self, on: bool) {
+    /// Turn recording (vector clocks + [`AnalysisRecord`]s) on or off.
+    pub fn set_analysis(&self, on: bool) {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Is recording currently on?
-    pub fn is_enabled(&self) -> bool {
+    /// Is recording currently on? Emitters that must build a record's
+    /// fields (labels, clocks) check this first.
+    pub fn analysis_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn analysis recording (vector clocks + [`AnalysisRecord`]s) on or
-    /// off. Independent of [`set_enabled`](Self::set_enabled): span/instant
-    /// recording feeds Gantt charts, analysis recording feeds `gv-analyze`.
-    pub fn set_analysis(&self, on: bool) {
-        self.inner.analysis.store(on, Ordering::Relaxed);
-    }
-
-    /// Is analysis recording currently on?
-    pub fn analysis_enabled(&self) -> bool {
-        self.inner.analysis.load(Ordering::Relaxed)
-    }
-
-    /// Append one analysis record (no-op while analysis is off).
+    /// Append one record (no-op while recording is off).
     pub fn record_analysis(&self, rec: AnalysisRecord) {
         if !self.analysis_enabled() {
             return;
@@ -621,9 +565,33 @@ impl Tracer {
         self.inner.records.lock().push(rec);
     }
 
-    /// Snapshot all analysis records recorded so far.
+    /// Snapshot all records recorded so far, in record order.
     pub fn analysis_snapshot(&self) -> Vec<AnalysisRecord> {
         self.inner.records.lock().clone()
+    }
+
+    /// Record an injected-fault or recovery event. Fault-injection layers
+    /// across the stack all funnel through here so a run's fault schedule
+    /// can be replayed and diffed as part of its trace.
+    pub fn fault(&self, time: SimTime, label: impl Into<String>) {
+        self.record_analysis(AnalysisRecord::Fault {
+            time,
+            label: label.into(),
+        });
+    }
+
+    /// The [`AnalysisRecord::Fault`] events recorded so far, as
+    /// `(time, label)` in record order.
+    pub fn fault_events(&self) -> Vec<(SimTime, String)> {
+        self.inner
+            .records
+            .lock()
+            .iter()
+            .filter_map(|r| match r {
+                AnalysisRecord::Fault { time, label } => Some((*time, label.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Register a device with the tracer, returning a dense ordinal that
@@ -660,381 +628,14 @@ impl Tracer {
     pub(crate) fn set_now_hint(&self, t: SimTime) {
         self.inner.now_ns.store(t.as_nanos(), Ordering::Relaxed);
     }
-
-    /// Record one event (no-op while disabled).
-    pub fn record(
-        &self,
-        time: SimTime,
-        category: &'static str,
-        label: impl Into<String>,
-        kind: TraceKind,
-        track: u32,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut events = self.inner.events.lock();
-        // Sequence allocation under the buffer lock keeps `seq` order equal
-        // to buffer order even if a host thread ever raced a process.
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        events.push(TraceEvent {
-            time,
-            seq,
-            category,
-            label: label.into(),
-            kind,
-            track,
-        });
-    }
-
-    /// Record a point event.
-    pub fn instant(&self, time: SimTime, category: &'static str, label: impl Into<String>) {
-        self.record(time, category, label, TraceKind::Instant, 0);
-    }
-
-    /// Record an injected-fault or recovery event (a point event under
-    /// [`FAULT_CATEGORY`]). Fault-injection layers across the stack all
-    /// funnel through here so a run's fault schedule can be replayed and
-    /// diffed as part of its timeline.
-    pub fn fault(&self, time: SimTime, label: impl Into<String>) {
-        self.record(time, FAULT_CATEGORY, label, TraceKind::Instant, 0);
-    }
-
-    /// Point events recorded under [`FAULT_CATEGORY`], in record order.
-    pub fn fault_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .events
-            .lock()
-            .iter()
-            .filter(|e| e.category == FAULT_CATEGORY)
-            .cloned()
-            .collect()
-    }
-
-    /// Record a span start.
-    pub fn begin(
-        &self,
-        time: SimTime,
-        category: &'static str,
-        label: impl Into<String>,
-        track: u32,
-    ) {
-        self.record(time, category, label, TraceKind::Begin, track);
-    }
-
-    /// Record a span end.
-    pub fn end(&self, time: SimTime, category: &'static str, label: impl Into<String>, track: u32) {
-        self.record(time, category, label, TraceKind::End, track);
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.inner.events.lock().len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot all events recorded so far, in stable `(time, seq)` order.
-    /// Timestamps alone can tie; the sequence number breaks ties in record
-    /// order, so analyzers see one deterministic total order.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut events = self.inner.events.lock().clone();
-        events.sort_by_key(|e| (e.time, e.seq));
-        events
-    }
-
-    /// Remove and return all events recorded so far (stable `(time, seq)`
-    /// order, like [`snapshot`](Self::snapshot)).
-    pub fn take(&self) -> Vec<TraceEvent> {
-        let mut events = std::mem::take(&mut *self.inner.events.lock());
-        events.sort_by_key(|e| (e.time, e.seq));
-        events
-    }
-
-    /// Validate span structure across every category: each `Begin` must
-    /// have a matching later `End` on the same `(track, label)`, and no
-    /// `End` may appear without an open `Begin`. Returns all defects found
-    /// (empty = structurally sound).
-    pub fn validate_spans(&self) -> Vec<SpanIssue> {
-        let events = self.snapshot();
-        let mut open: Vec<(&'static str, u32, String, SimTime)> = Vec::new();
-        let mut issues = Vec::new();
-        for ev in &events {
-            match ev.kind {
-                TraceKind::Instant => {}
-                TraceKind::Begin => {
-                    open.push((ev.category, ev.track, ev.label.clone(), ev.time));
-                }
-                TraceKind::End => {
-                    match open.iter().position(|(c, t, l, _)| {
-                        *c == ev.category && *t == ev.track && *l == ev.label
-                    }) {
-                        Some(pos) => {
-                            open.remove(pos);
-                        }
-                        None => issues.push(SpanIssue {
-                            category: ev.category,
-                            label: ev.label.clone(),
-                            track: ev.track,
-                            time: ev.time,
-                            unmatched_begin: false,
-                        }),
-                    }
-                }
-            }
-        }
-        for (category, track, label, time) in open {
-            issues.push(SpanIssue {
-                category,
-                label,
-                track,
-                time,
-                unmatched_begin: true,
-            });
-        }
-        issues
-    }
-
-    /// Reconstruct completed `(begin, end)` spans for one category,
-    /// matching by `(track, label)` in FIFO order.
-    pub fn spans(&self, category: &'static str) -> Vec<Span> {
-        let events = self.inner.events.lock();
-        let mut open: Vec<(u32, String, SimTime)> = Vec::new();
-        let mut out = Vec::new();
-        for ev in events.iter().filter(|e| e.category == category) {
-            match ev.kind {
-                TraceKind::Begin => open.push((ev.track, ev.label.clone(), ev.time)),
-                TraceKind::End => {
-                    if let Some(pos) = open
-                        .iter()
-                        .position(|(t, l, _)| *t == ev.track && *l == ev.label)
-                    {
-                        let (track, label, start) = open.remove(pos);
-                        out.push(Span {
-                            category,
-                            label,
-                            track,
-                            start,
-                            end: ev.time,
-                        });
-                    }
-                }
-                TraceKind::Instant => {}
-            }
-        }
-        out.sort_by_key(|s| (s.start, s.track));
-        out
-    }
-
-    /// Serialize as Chrome trace-event JSON (load in `chrome://tracing` or
-    /// Perfetto): begin/end become duration events (`B`/`E`), instants
-    /// become `i`, tracks become thread ids.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        for ev in self.inner.events.lock().iter() {
-            let ph = match ev.kind {
-                TraceKind::Begin => "B",
-                TraceKind::End => "E",
-                TraceKind::Instant => "i",
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                ev.label.replace('"', "'"),
-                ev.category,
-                ph,
-                ev.time.as_nanos() / 1_000, // µs
-                ev.track
-            ));
-        }
-        out.push(']');
-        out
-    }
-
-    /// Serialize all events as CSV (`time_ms,category,kind,track,label`).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("time_ms,category,kind,track,label\n");
-        for ev in self.inner.events.lock().iter() {
-            let kind = match ev.kind {
-                TraceKind::Instant => "instant",
-                TraceKind::Begin => "begin",
-                TraceKind::End => "end",
-            };
-            s.push_str(&format!(
-                "{:.6},{},{},{},{}\n",
-                ev.time.as_millis_f64(),
-                ev.category,
-                kind,
-                ev.track,
-                ev.label.replace(',', ";")
-            ));
-        }
-        s
-    }
-}
-
-/// A completed activity span reconstructed from begin/end events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Category the span was recorded under.
-    pub category: &'static str,
-    /// Label shared by the begin/end pair.
-    pub label: String,
-    /// Track identifier.
-    pub track: u32,
-    /// Span start time.
-    pub start: SimTime,
-    /// Span end time.
-    pub end: SimTime,
-}
-
-impl Span {
-    /// Span length.
-    pub fn duration(&self) -> crate::time::SimDuration {
-        self.end.duration_since(self.start)
-    }
-
-    /// Do two spans overlap in time (open intervals)?
-    pub fn overlaps(&self, other: &Span) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tr = Tracer::new();
-        tr.instant(t(1), "x", "a");
-        assert!(tr.is_empty());
-    }
-
-    #[test]
-    fn spans_are_matched_by_track_and_label() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.begin(t(0), "kernel", "k1", 0);
-        tr.begin(t(1), "kernel", "k2", 1);
-        tr.end(t(3), "kernel", "k1", 0);
-        tr.end(t(5), "kernel", "k2", 1);
-        let spans = tr.spans("kernel");
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].label, "k1");
-        assert_eq!(spans[0].duration(), SimDuration::from_millis(3));
-        assert!(spans[0].overlaps(&spans[1]));
-    }
-
-    #[test]
-    fn non_overlapping_spans_detected() {
-        let a = Span {
-            category: "c",
-            label: "a".into(),
-            track: 0,
-            start: t(0),
-            end: t(2),
-        };
-        let b = Span {
-            category: "c",
-            label: "b".into(),
-            track: 0,
-            start: t(2),
-            end: t(4),
-        };
-        assert!(!a.overlaps(&b));
-    }
-
-    #[test]
-    fn csv_export_contains_rows() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.instant(t(2), "io", "h2d,start");
-        let csv = tr.to_csv();
-        assert!(csv.contains("2.000000,io,instant,0,h2d;start"));
-    }
-
-    #[test]
-    fn chrome_trace_export_is_wellformed() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.begin(t(1), "kernel", "k1", 3);
-        tr.end(t(2), "kernel", "k1", 3);
-        tr.instant(t(3), "io", "x");
-        let json = tr.to_chrome_trace();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
-        assert!(json.contains("\"tid\":3"));
-        assert!(json.contains("\"ts\":1000"));
-    }
-
-    #[test]
-    fn fault_events_are_filtered_by_category() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.instant(t(1), "io", "h2d");
-        tr.fault(t(2), "mq-drop:/gvm-req#0");
-        tr.fault(t(3), "evict:rank1");
-        let faults = tr.fault_events();
-        assert_eq!(faults.len(), 2);
-        assert_eq!(faults[0].label, "mq-drop:/gvm-req#0");
-        assert_eq!(faults[0].category, FAULT_CATEGORY);
-        assert_eq!(faults[1].time, t(3));
-    }
-
-    #[test]
-    fn take_drains_buffer() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.instant(t(1), "x", "a");
-        assert_eq!(tr.take().len(), 1);
-        assert!(tr.is_empty());
-    }
-
-    #[test]
-    fn snapshot_orders_by_time_then_seq() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.instant(t(5), "x", "late");
-        tr.instant(t(1), "x", "early"); // recorded second, earlier time
-        tr.instant(t(1), "x", "early2");
-        let evs = tr.snapshot();
-        assert_eq!(evs[0].label, "early");
-        assert_eq!(evs[1].label, "early2");
-        assert_eq!(evs[2].label, "late");
-        // Ties broken by monotonic seq in record order.
-        assert!(evs[0].seq < evs[1].seq);
-    }
-
-    #[test]
-    fn validate_spans_flags_unmatched_pairs() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.begin(t(0), "kernel", "ok", 0);
-        tr.end(t(1), "kernel", "ok", 0);
-        tr.begin(t(2), "kernel", "dangling", 1);
-        tr.end(t(3), "h2d", "orphan", 2);
-        let issues = tr.validate_spans();
-        assert_eq!(issues.len(), 2);
-        assert!(issues
-            .iter()
-            .any(|i| !i.unmatched_begin && i.label == "orphan"));
-        assert!(issues
-            .iter()
-            .any(|i| i.unmatched_begin && i.label == "dangling"));
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
     }
 
     #[test]
@@ -1045,6 +646,7 @@ mod tests {
             gvm: "gvm".to_string(),
             rank: 0,
         });
+        tr.fault(t(1), "mq-drop:/q#0");
         assert!(tr.analysis_snapshot().is_empty());
         tr.set_analysis(true);
         tr.record_analysis(AnalysisRecord::ProtoEvict {
@@ -1053,6 +655,28 @@ mod tests {
             rank: 3,
         });
         assert_eq!(tr.analysis_snapshot().len(), 1);
+    }
+
+    #[test]
+    fn fault_events_filter_the_record_stream() {
+        let tr = Tracer::new();
+        tr.set_analysis(true);
+        tr.register_device(16);
+        tr.fault(t(2), "mq-drop:/gvm-req#0");
+        tr.record_analysis(AnalysisRecord::ProtoEvict {
+            time: t(3),
+            gvm: "gvm".to_string(),
+            rank: 1,
+        });
+        tr.fault(t(3), "evict:rank1");
+        assert_eq!(
+            tr.fault_events(),
+            [
+                (t(2), "mq-drop:/gvm-req#0".to_string()),
+                (t(3), "evict:rank1".to_string())
+            ]
+        );
+        assert_eq!(tr.analysis_snapshot().len(), 4);
     }
 
     #[test]

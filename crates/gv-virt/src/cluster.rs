@@ -746,13 +746,6 @@ pub struct ClusterConfig {
     /// Arrival skew: session at arrival position `i` starts its protocol
     /// sequence `i * stagger` after connecting.
     pub stagger: SimDuration,
-    /// VRAM oversubscription factor for planning, `>= 1`. The planner
-    /// admits against `factor ×` each device's physical memory (the
-    /// *virtual* capacity, which is also what the `ClusterDevice` record
-    /// declares to the co-residency checker); a factor above 1 turns on
-    /// demand-swap in every GVM so the physically-overcommitted waves
-    /// stay serviceable.
-    pub oversubscribe: u32,
 }
 
 impl ClusterConfig {
@@ -766,14 +759,7 @@ impl ClusterConfig {
             mem: MemConfig::default(),
             rounds: 1,
             stagger: SimDuration::ZERO,
-            oversubscribe: 1,
         }
-    }
-
-    /// Set the VRAM oversubscription factor (clamped to at least 1).
-    pub fn with_oversubscribe(mut self, factor: u32) -> Self {
-        self.oversubscribe = factor.max(1);
-        self
     }
 
     /// Replace the GVM stream-dispatch policy.
@@ -914,14 +900,9 @@ impl Cluster {
         config: ClusterConfig,
         requests: Vec<VgpuRequest>,
     ) -> Result<ClusterHandle, PlanError> {
-        let oversub = u64::from(config.oversubscribe.max(1));
         let caps: Vec<DeviceCap> = cudas
             .iter()
-            .map(|c| {
-                let mut cap = DeviceCap::from_config(c.device().config());
-                cap.mem_bytes = cap.mem_bytes.saturating_mul(oversub);
-                cap
-            })
+            .map(|c| DeviceCap::from_config(c.device().config()))
             .collect();
         let plan = plan(config.policy, &requests, &caps)?;
 
@@ -960,9 +941,6 @@ impl Cluster {
             let quotas: Vec<MemQuota> = list.iter().map(|a| req_of[&a.request].quota).collect();
             if quotas.iter().any(|q| !q.is_unlimited()) {
                 gcfg = gcfg.with_quotas(quotas);
-            }
-            if config.oversubscribe > 1 {
-                gcfg = gcfg.with_swap();
             }
             gcfg.name = format!("{}-d{device}w{wave}", config.name);
             let handle = Gvm::prepare(node, gcfg, tasks);

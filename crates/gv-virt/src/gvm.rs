@@ -926,13 +926,12 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                 RecvTimeout::Msg(req) => req,
                 RecvTimeout::Closed => break,
                 RecvTimeout::TimedOut => {
+                    // A batch-timer expiry flushes whatever is pending,
+                    // nobody presumed dead; a fault-tolerance deadline
+                    // evicts first.
                     let sched_fired =
                         sched_deadline.is_some_and(|sd| ft_deadline.is_none_or(|fd| sd <= fd));
-                    if sched_fired {
-                        // Batch timer expired: flush whatever is pending,
-                        // nobody is presumed dead.
-                        ctx.tracer().instant(ctx.now(), "sched", "batch-timeout");
-                    } else {
+                    if !sched_fired {
                         // The ranks that never barriered are gone: with
                         // nothing barriered and nobody talking, that is
                         // every remaining active rank; with a stalled
@@ -1409,11 +1408,6 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                     stats.queue_depth_sum += depth;
                     stats.queue_depth_max = stats.queue_depth_max.max(depth);
                 }
-                ctx.tracer().instant(
-                    ctx.now(),
-                    "sched",
-                    format!("queue-depth:{}", str_waiting.len()),
-                );
                 let groups = scheduler.on_str(&str_waiting, active_count(&ranks));
                 dispatch_groups(
                     ctx,
@@ -1897,10 +1891,6 @@ fn flush_group(
         if group.len() < active {
             stats.partial_flushes += 1;
         }
-    }
-    if gap > SimDuration::ZERO {
-        ctx.tracer()
-            .instant(t0, "sched", format!("idle-gap:{}ns", gap.as_nanos()));
     }
     // "Barrier to synchronize ACK to all processes" — arrival order, as in
     // the paper's joint flush, restricted to the covered ranks. The order

@@ -13,7 +13,7 @@ use gvirt::cuda::{CudaDevice, CudaError, HostBuffer};
 use gvirt::gpu::{DeviceConfig, GpuDevice, MemError};
 use gvirt::ipc::{AffinityError, Node, NodeConfig};
 use gvirt::kernels::vecadd;
-use gvirt::sim::{SimDuration, SimError, SimTime, Simulation};
+use gvirt::sim::{AnalysisRecord, SimDuration, SimError, SimTime, Simulation};
 use gvirt::virt::{
     run_direct_abortable, ClientPolicy, FaultPlan, FaultSpec, Gvm, GvmConfig, GvmHandle, NakReason,
     QueueSel, RequestKind, TaskError, VgpuClient,
@@ -197,10 +197,10 @@ struct FtOutcome {
     handle: GvmHandle,
     /// Device bytes still allocated after the run drained.
     used_after: u64,
-    /// `fault`-category trace events as `"<ns> <label>"` lines.
+    /// Fault records as `"<ns> <label>"` lines.
     fault_labels: Vec<String>,
-    /// Every trace event as `"<ns> <category> <label>"` lines.
-    full_trace: Vec<String>,
+    /// The whole recorded trace.
+    full_trace: Vec<AnalysisRecord>,
     inputs: Vec<(Vec<f32>, Vec<f32>)>,
 }
 
@@ -237,6 +237,7 @@ impl FtOutcome {
 /// Run `n` fault-tolerant ranks of functional vecadd under `plan`.
 fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOutcome {
     let mut sim = Simulation::new();
+    sim.tracer().set_analysis(trace);
     let cfg = DeviceConfig::tesla_c2070_paper();
     let device = GpuDevice::install(&mut sim, cfg.clone());
     let cuda = CudaDevice::new(device.clone());
@@ -248,9 +249,6 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
         .collect();
     let handle = Gvm::install(&mut sim, &node, &cuda, GvmConfig::fault_tolerant(n), tasks);
     plan.install(&handle, &device);
-    if trace {
-        sim.tracer().set_enabled(true);
-    }
     type Results = Arc<Mutex<Vec<(usize, Result<Option<Vec<u8>>, TaskError>)>>>;
     let results: Results = Arc::new(Mutex::new(Vec::new()));
     for rank in 0..n {
@@ -280,13 +278,9 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
     let fault_labels = tracer
         .fault_events()
         .iter()
-        .map(|e| format!("{} {}", e.time.as_nanos(), e.label))
+        .map(|(time, label)| format!("{} {label}", time.as_nanos()))
         .collect();
-    let full_trace = tracer
-        .snapshot()
-        .iter()
-        .map(|e| format!("{} {} {}", e.time.as_nanos(), e.category, e.label))
-        .collect();
+    let full_trace = tracer.analysis_snapshot();
     let mut results = Arc::try_unwrap(results)
         .unwrap_or_else(|_| panic!("client still holds results"))
         .into_inner();

@@ -35,6 +35,7 @@ struct Outcome {
 
 fn run_plan(plan: &FaultPlan, stagger_us: &[u64; RANKS]) -> Outcome {
     let mut sim = Simulation::new();
+    sim.tracer().set_analysis(true);
     let cfg = DeviceConfig::tesla_c2070_paper();
     let device = GpuDevice::install(&mut sim, cfg.clone());
     let cuda = CudaDevice::new(device.clone());
@@ -59,7 +60,6 @@ fn run_plan(plan: &FaultPlan, stagger_us: &[u64; RANKS]) -> Outcome {
     );
     plan.install(&handle, &device);
     let tracer = sim.tracer();
-    tracer.set_enabled(true);
     type Results = Arc<Mutex<Vec<(usize, Result<Vec<u8>, TaskError>)>>>;
     let results: Results = Arc::new(Mutex::new(Vec::new()));
     for (rank, &stag) in stagger_us.iter().enumerate().take(RANKS) {
@@ -102,7 +102,7 @@ fn run_plan(plan: &FaultPlan, stagger_us: &[u64; RANKS]) -> Outcome {
         fault_labels: tracer
             .fault_events()
             .iter()
-            .map(|e| format!("{} {}", e.time.as_nanos(), e.label))
+            .map(|(time, label)| format!("{} {label}", time.as_nanos()))
             .collect(),
     }
 }

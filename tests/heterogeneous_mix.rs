@@ -19,7 +19,7 @@ fn run_mix(tasks: Vec<GpuTask>, trace: bool) -> (Vec<TaskRun>, Option<Timeline>,
     let n = tasks.len();
     let mut sim = Simulation::new();
     let tracer = sim.tracer();
-    tracer.set_enabled(trace);
+    tracer.set_analysis(trace);
     let cfg = DeviceConfig::tesla_c2070_paper();
     let device = GpuDevice::install(&mut sim, cfg);
     let cuda = CudaDevice::new(device.clone());
@@ -46,7 +46,7 @@ fn run_mix(tasks: Vec<GpuTask>, trace: bool) -> (Vec<TaskRun>, Option<Timeline>,
     let mut collected = runs.lock().clone();
     collected.sort_by_key(|r| r.rank);
     let switches = device.stats().ctx_switches;
-    let tl = trace.then(|| Timeline::from_tracer(&tracer));
+    let tl = trace.then(|| Timeline::from_records(&tracer.analysis_snapshot()));
     (collected, tl, switches)
 }
 
